@@ -21,9 +21,7 @@ from .gp import (
     GpFitError,
     KernelParams,
     NoisyObservation,
-    beta0_hat,
     fit_hyperparameters,
-    kernel_eval,
     log_marginal_likelihood,
     std_normal_cdf,
     std_normal_pdf,
@@ -50,7 +48,6 @@ from .pareto import (
     centroid,
     moeeqi,
     moeeqi_scores,
-    nearest_front_point,
     probability_of_improvement,
 )
 from .problems import (

@@ -9,7 +9,6 @@ point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +20,7 @@ __all__ = [
     "QuantilePosterior",
     "ReplicationVarianceError",
     "quantile_posterior",
+    "quantile_posterior_arrays",
     "eqi",
     "future_noise",
     "replication_variance",
@@ -44,6 +44,19 @@ class QuantilePosterior:
             raise ValueError("quantile posterior sd must be non-negative")
 
 
+def quantile_posterior_arrays(mean, var, sigma2_new: float, beta: float):
+    """Elementwise ``quantile_posterior`` over arrays of posterior means and
+    variances, without input validation; returns (means, sds)."""
+    mean = np.asarray(mean, float)
+    var = np.asarray(var, float)
+    total = var + sigma2_new
+    safe = np.where(total > 0.0, total, 1.0)
+    shift = float(std_normal_quantile(beta)) * np.sqrt(sigma2_new * var / safe)
+    sd = var / np.sqrt(safe)
+    zero = total <= 0.0
+    return np.where(zero, mean, mean + shift), np.where(zero, 0.0, sd)
+
+
 def quantile_posterior(m: float, s2: float, sigma2_new: float, beta: float) -> QuantilePosterior:
     """Distribution of the updated beta-quantile after one more noisy observation.
 
@@ -60,11 +73,8 @@ def quantile_posterior(m: float, s2: float, sigma2_new: float, beta: float) -> Q
         raise ValueError(f"beta must lie in [0.5, 1), got {beta}")
     if s2 < 0.0 or sigma2_new < 0.0:
         raise ValueError("variances must be non-negative")
-    if s2 == 0.0:
-        return QuantilePosterior(float(m), 0.0)
-    total = s2 + sigma2_new
-    mean = m + float(std_normal_quantile(beta)) * math.sqrt(sigma2_new * s2 / total)
-    return QuantilePosterior(float(mean), s2 / math.sqrt(total))
+    mean, sd = quantile_posterior_arrays(m, s2, sigma2_new, beta)
+    return QuantilePosterior(float(mean), float(sd))
 
 
 def eqi(qp: QuantilePosterior, q_star: float) -> float:

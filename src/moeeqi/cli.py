@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .optimizer import RunConfig, RunState, front_metrics, run
+from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run
 from .pareto import ParetoFront
 from .problems import ProblemSchemaError, load_problem, oracle_front
 
@@ -202,6 +202,7 @@ def cmd_study(args) -> int:
     config = _resolve_seed(config, args.seed)
     if args.replicates < 1:
         raise ProblemSchemaError("field 'replicates' must be at least 1")
+    pinned_bounds(problem, config.fixed_coords)  # fail before the truth front, not per replicate
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     truth = oracle_front(problem, study["truth_resolution"])

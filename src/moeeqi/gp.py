@@ -24,10 +24,8 @@ __all__ = [
     "NoisyObservation",
     "GpDataset",
     "GpEmulator",
-    "kernel_eval",
     "log_marginal_likelihood",
     "fit_hyperparameters",
-    "beta0_hat",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
@@ -200,22 +198,9 @@ class GpDataset:
 # ---------------------------------------------------------------------------
 
 
-def kernel_eval(params: KernelParams, x, y) -> float:
-    """Squared-exponential covariance between two control points.
-
-    k(x, y) = process_variance * exp(-sum_k (x_k - y_k)^2 / (2 l_k^2))
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.size != params.dim:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, y {y.shape}, lengthscales {params.dim}"
-        )
-    z = (x - y) / params.lengthscales
-    return float(params.process_variance * np.exp(-0.5 * np.dot(z, z)))
-
-
 def _kernel_matrix(params: KernelParams, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Squared-exponential covariances between the rows of X and of Y (or X):
+    process_variance * exp(-sum_k (x_k - y_k)^2 / (2 l_k^2))."""
     Xs = X / params.lengthscales
     Ys = Xs if Y is None else Y / params.lengthscales
     sq = (
@@ -366,18 +351,23 @@ def fit_hyperparameters(
     return KernelParams(math.exp(best_theta[0]), np.exp(best_theta[1:]))
 
 
-def beta0_hat(dataset: GpDataset, params: KernelParams) -> float:
-    """Profiled constant trend: 1'(K+D)^{-1} y / 1'(K+D)^{-1} 1."""
-    X, y = dataset.locations(), dataset.means()
-    C = _kernel_matrix(params, X) + np.diag(dataset.variances())
-    cho, _ = _factorize(C, params.process_variance, params.jitter)
-    Cinv_one = cho_solve(cho, np.ones(y.size))
-    return float(Cinv_one @ y) / float(Cinv_one @ np.ones(y.size))
-
-
 # ---------------------------------------------------------------------------
 # Emulator
 # ---------------------------------------------------------------------------
+
+
+def _unit_box(control_bounds, dim: int) -> tuple:
+    """Offset and width mapping the control box onto the unit cube; the
+    identity map when no bounds are given."""
+    if control_bounds is None:
+        return np.zeros(dim), np.ones(dim)
+    cb = np.asarray(control_bounds, dtype=float).reshape(-1, 2)
+    if cb.shape[0] != dim:
+        raise ValueError("control_bounds dimension does not match dataset")
+    span = cb[:, 1] - cb[:, 0]
+    if np.any(span <= 0.0):
+        raise ValueError("control bounds must have positive width")
+    return cb[:, 0], span
 
 
 class GpEmulator:
@@ -397,17 +387,7 @@ class GpEmulator:
     ):
         self.dataset = dataset
         self.params = params
-        if control_bounds is not None:
-            cb = np.asarray(control_bounds, dtype=float).reshape(-1, 2)
-            if cb.shape[0] != dataset.dim:
-                raise ValueError("control_bounds dimension does not match dataset")
-            self._lb = cb[:, 0]
-            self._span = cb[:, 1] - cb[:, 0]
-            if np.any(self._span <= 0.0):
-                raise ValueError("control bounds must have positive width")
-        else:
-            self._lb = np.zeros(dataset.dim)
-            self._span = np.ones(dataset.dim)
+        self._lb, self._span = _unit_box(control_bounds, dataset.dim)
         X = self.scale(dataset.locations())
         y = dataset.means()
         C = _kernel_matrix(params, X) + np.diag(dataset.variances())
@@ -430,16 +410,13 @@ class GpEmulator:
         warm_start: KernelParams | None = None,
     ) -> "GpEmulator":
         """Estimate hyperparameters on (scaled) inputs and build the emulator."""
-        scaled = dataset
-        if control_bounds is not None:
-            cb = np.asarray(control_bounds, dtype=float).reshape(-1, 2)
-            lb, span = cb[:, 0], cb[:, 1] - cb[:, 0]
-            scaled = GpDataset(
-                [
-                    NoisyObservation((o.location - lb) / span, o.mean, o.variance, o.replications)
-                    for o in dataset
-                ]
-            )
+        lb, span = _unit_box(control_bounds, dataset.dim)
+        scaled = GpDataset(
+            [
+                NoisyObservation((o.location - lb) / span, o.mean, o.variance, o.replications)
+                for o in dataset
+            ]
+        )
         params = fit_hyperparameters(
             scaled, bounds=bounds, restarts=restarts, rng=rng, warm_start=warm_start
         )

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import future_noise, merge_replicate
+from .acquisition import future_noise, merge_replicate, quantile_posterior_arrays
 from .gp import GpDataset, GpEmulator, NoisyObservation, std_normal_quantile
 from .pareto import (
-    ConstraintSpec,
     FrontPoint,
     ImprovementMode,
     ParetoFront,
@@ -27,7 +26,14 @@ from .pareto import (
     feasible_mask,
     moeeqi_scores,
 )
-from .problems import ProblemSpec, candidate_grid, initial_design, mc_aggregate, sample_environment
+from .problems import (
+    ProblemSchemaError,
+    ProblemSpec,
+    candidate_grid,
+    initial_design,
+    mc_aggregate,  # noqa: F401 - bound here only so benchmark tracing can find it
+    sample_environment,
+)
 
 __all__ = [
     "RunConfig",
@@ -39,6 +45,7 @@ __all__ = [
     "moeei_select",
     "evaluate_metrics",
     "front_metrics",
+    "pinned_bounds",
 ]
 
 _COMPARATORS = ("moeeqi", "moeei")
@@ -138,93 +145,50 @@ class Metrics:
 # ---------------------------------------------------------------------------
 
 
-def _quantile_posterior_arrays(mean, var, sigma2_new: float, beta: float):
-    """Vectorized one-step-ahead quantile posterior over candidate arrays."""
-    mean = np.asarray(mean, float)
-    var = np.asarray(var, float)
-    total = var + sigma2_new
-    safe = np.where(total > 0.0, total, 1.0)
-    shift = float(std_normal_quantile(beta)) * np.sqrt(sigma2_new * var / safe)
-    sd = var / np.sqrt(safe)
-    zero = total <= 0.0
-    return np.where(zero, mean, mean + shift), np.where(zero, 0.0, sd)
-
-
-def _design_front(
-    emulators,
-    locations: np.ndarray,
-    constraints: ConstraintSpec | None,
-    beta: float,
-    sigma2_future,
-    literal: bool,
-) -> ParetoFront:
+def _design_front(state: "RunState", beta: float, sigma2_future) -> ParetoFront:
     """Front of current-emulator quantiles at the design locations, with the
     noise-adjusted constraint filter applied."""
+    locations = state.datasets[0].locations()
     z = float(std_normal_quantile(beta)) if beta > 0.5 else 0.0
     quantiles = np.empty((locations.shape[0], 2))
     adj_sd = np.empty_like(quantiles)
-    for i, em in enumerate(emulators):
+    for i, em in enumerate(state.emulators):
         m, s2 = em.posterior(locations)
         quantiles[:, i] = m + z * np.sqrt(s2)
-        _, sd_q = _quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
-        adj_sd[:, i] = sd_q
+        _, adj_sd[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
     points = [
         FrontPoint(float(q1), float(q2), source=locations[j])
         for j, (q1, q2) in enumerate(quantiles)
     ]
-    return build_front(points, constraints, noise_sd=adj_sd, beta=beta, literal_formula=literal)
+    return build_front(
+        points, state.problem.constraints, noise_sd=adj_sd, beta=beta,
+        literal_formula=state.config.literal_constraint_formula,
+    )
 
 
-def _score_candidates(
-    emulators,
-    front: ParetoFront,
-    grid: np.ndarray,
-    sigma2_future,
-    beta: float,
-    mode: ImprovementMode,
-    constraints: ConstraintSpec | None,
-    literal: bool,
-):
-    """Criterion value for every grid candidate, plus the summed posterior
-    variance used by the exploration fallback."""
+def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: ImprovementMode,
+            beta: float, sigma2_future):
+    """Argmax of the criterion over the grid against the design-location
+    ``front``. Candidates failing the constraint filter score zero; when every
+    candidate does, the point of largest summed posterior variance is taken
+    instead. Returns (point, score, fallback)."""
     mq = np.empty((grid.shape[0], 2))
     sq = np.empty_like(mq)
     var_sum = np.zeros(grid.shape[0])
-    for i, em in enumerate(emulators):
+    for i, em in enumerate(state.emulators):
         m, s2 = em.posterior(grid)
-        mq[:, i], sq[:, i] = _quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
+        mq[:, i], sq[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
         var_sum += s2
     if len(front) == 0:
         scores = np.zeros(grid.shape[0])
     else:
         scores = moeeqi_scores(front, mq[:, 0], sq[:, 0], mq[:, 1], sq[:, 1], mode)
-    keep = feasible_mask(mq, sq, constraints, beta, literal)
+    keep = feasible_mask(mq, sq, state.problem.constraints, beta, state.config.literal_constraint_formula)
     scores = np.where(keep, scores, 0.0)
-    return scores, var_sum
-
-
-def _pick(scores: np.ndarray, var_sum: np.ndarray, grid: np.ndarray):
     best = int(np.argmax(scores))
     if scores[best] > 0.0:
         return grid[best], float(scores[best]), False
-    explore = int(np.argmax(var_sum))
-    return grid[explore], 0.0, True
-
-
-def _select(state: "RunState", grid: np.ndarray, mode: ImprovementMode, beta: float, future: bool):
-    """Shared selection path: quantile front at design locations, criterion
-    scores over the grid, argmax with the exploration fallback."""
-    sigma2 = future_noise(state.datasets) if future else [0.0, 0.0]
-    front = _design_front(
-        state.emulators, state.datasets[0].locations(), state.problem.constraints,
-        beta, sigma2, state.config.literal_constraint_formula,
-    )
-    scores, var_sum = _score_candidates(
-        state.emulators, front, grid, sigma2, beta, mode,
-        state.problem.constraints, state.config.literal_constraint_formula,
-    )
-    point, score, fallback = _pick(scores, var_sum, grid)
-    return point, score, fallback
+    return grid[int(np.argmax(var_sum))], 0.0, True
 
 
 def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode, beta: float):
@@ -233,7 +197,8 @@ def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode, beta: 
     first on ties; falls back to the maximum-variance point when every
     candidate scores zero.
     """
-    point, score, _ = _select(state, grid, mode, beta, future=True)
+    sigma2 = future_noise(state.datasets)
+    point, score, _ = _select(state, _design_front(state, beta, sigma2), grid, mode, beta, sigma2)
     return point, score
 
 
@@ -241,7 +206,8 @@ def moeei_select(state: RunState, grid: np.ndarray, mode: ImprovementMode = Impr
     """Plug-in comparator: front built from posterior means and the future
     observation treated as exact (zero variance), i.e. the same pipeline with
     the quantile level pinned at one half."""
-    point, score, _ = _select(state, grid, mode, 0.5, future=False)
+    sigma2 = [0.0, 0.0]
+    point, score, _ = _select(state, _design_front(state, 0.5, sigma2), grid, mode, 0.5, sigma2)
     return point, score
 
 
@@ -250,20 +216,25 @@ def moeei_select(state: RunState, grid: np.ndarray, mode: ImprovementMode = Impr
 # ---------------------------------------------------------------------------
 
 
-def _build_grid(problem: ProblemSpec, config: RunConfig) -> np.ndarray:
+def pinned_bounds(problem: ProblemSpec, fixed_coords) -> np.ndarray:
+    """Control bounds with each ``fixed_coords`` coordinate pinned to its
+    value; a key outside the problem's coordinates or a value outside the
+    control range is a ``ProblemSchemaError``."""
     bounds = problem.control_bounds.copy()
-    if config.fixed_coords:
-        for k, value in config.fixed_coords.items():
-            bounds[k] = (value, value)
-        axes = []
-        for k, (lo, hi) in enumerate(bounds):
-            if lo == hi:
-                axes.append(np.array([lo]))
-            else:
-                axes.append(np.linspace(lo, hi, config.grid_resolution))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-    return candidate_grid(bounds, config.grid_resolution)
+    for k, value in (fixed_coords or {}).items():
+        if k not in range(problem.dim):
+            raise ProblemSchemaError(
+                f"field 'fixed_coords' names coordinate {k!r}, but the problem has "
+                f"coordinates 0..{problem.dim - 1}"
+            )
+        lo, hi = bounds[k]
+        if not lo <= value <= hi:
+            raise ProblemSchemaError(
+                f"field 'fixed_coords' pins coordinate {k} to {value}, outside its "
+                f"control range [{lo}, {hi}]"
+            )
+        bounds[k] = (value, value)
+    return bounds
 
 
 def _fit_emulators(datasets, problem, config, rng, warm=None):
@@ -295,52 +266,39 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
     fixed seed.
     """
     rng = np.random.default_rng(config.seed)
-    beta_eff = config.beta if config.comparator == "moeeqi" else 0.5
-    grid = _build_grid(problem, config)
+    future = config.comparator == "moeeqi"
+    beta_eff = config.beta if future else 0.5
+    grid = candidate_grid(pinned_bounds(problem, config.fixed_coords), config.grid_resolution)
 
     design = initial_design(config.initial_design_size, problem.control_bounds, rng)
-    if config.fixed_coords:
-        for k, value in config.fixed_coords.items():
-            design[:, k] = value
+    for k, value in (config.fixed_coords or {}).items():
+        design[:, k] = value
     env0 = sample_environment(problem.env, config.n_mc, rng)
-    obs = {0: [], 1: []}
-    for xc in design:
-        values = np.asarray(problem.evaluator(xc, env0), dtype=float)
-        batch = mc_aggregate(values.T)
-        for i in range(2):
-            obs[i].append(NoisyObservation(xc, batch.means[i], batch.variances[i]))
-    datasets = (GpDataset(obs[0]), GpDataset(obs[1]))
-    emulators = _fit_emulators(datasets, problem, config, rng)
-
-    def current_front(dsets, emus):
-        sigma2 = future_noise(dsets) if config.comparator == "moeeqi" else [0.0, 0.0]
-        return _design_front(
-            emus, dsets[0].locations(), problem.constraints,
-            beta_eff, sigma2, config.literal_constraint_formula,
-        )
-
-    initial_front = current_front(datasets, emulators)
+    batches = [problem.evaluate_mc(xc, config.n_mc, rng, draws=env0) for xc in design]
+    datasets = tuple(
+        GpDataset([NoisyObservation(xc, b.means[i], b.variances[i]) for xc, b in zip(design, batches)])
+        for i in range(2)
+    )
     state = RunState(
         problem=problem,
         config=config,
         datasets=datasets,
-        emulators=emulators,
+        emulators=_fit_emulators(datasets, problem, config, rng),
         iteration=0,
-        initial_front=initial_front,
-        front=initial_front,
+        initial_front=None,
+        front=None,
     )
+    # The design front and future noise that end one iteration start the next.
+    sigma2 = future_noise(state.datasets) if future else [0.0, 0.0]
+    state.initial_front = state.front = _design_front(state, beta_eff, sigma2)
 
     for it, mode in enumerate(config.iteration_modes(), start=1):
-        point, score, fallback = _select(
-            state, grid, mode, beta_eff, future=config.comparator == "moeeqi"
-        )
+        point, score, fallback = _select(state, state.front, grid, mode, beta_eff, sigma2)
         if config.min_score is not None and not fallback and score < config.min_score:
             state.stopped_early = True
             break
 
-        draws = sample_environment(problem.env, config.n_mc, rng)
-        values = np.asarray(problem.evaluator(point, draws), dtype=float)
-        batch = mc_aggregate(values.T)
+        batch = problem.evaluate_mc(point, config.n_mc, rng)
         existing = state.datasets[0].index_of(point)
         if existing is None:
             state.datasets = tuple(
@@ -364,7 +322,8 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
                 GpEmulator(ds, em.params, control_bounds=problem.control_bounds)
                 for ds, em in zip(state.datasets, state.emulators)
             )
-        state.front = current_front(state.datasets, state.emulators)
+        sigma2 = future_noise(state.datasets) if future else [0.0, 0.0]
+        state.front = _design_front(state, beta_eff, sigma2)
         state.iteration = it
         state.history.append(
             IterationRecord(

@@ -33,7 +33,6 @@ __all__ = [
     "feasible_mask",
     "probability_of_improvement",
     "centroid",
-    "nearest_front_point",
     "moeeqi",
     "moeeqi_scores",
 ]
@@ -174,15 +173,6 @@ def build_front(
     return ParetoFront(front)
 
 
-def nearest_front_point(front: ParetoFront, q) -> FrontPoint:
-    """Front member closest in Euclidean distance to ``q``; ties go to the
-    smaller-q1 point."""
-    if len(front) == 0:
-        raise ValueError("front is empty")
-    d2 = (front.q1s() - q[0]) ** 2 + (front.q2s() - q[1]) ** 2
-    return front[int(np.argmin(d2))]
-
-
 # ---------------------------------------------------------------------------
 # Closed-form improvement probability and centroid
 # ---------------------------------------------------------------------------
@@ -272,13 +262,7 @@ def moeeqi(
 ) -> float:
     """Improvement probability times the distance from the region centroid to
     the nearest front point; zero whenever the probability vanishes."""
-    mass, num1, num2 = _improvement_terms(front, qp1.mean, qp1.sd, qp2.mean, qp2.sd, mode)
-    p = float(mass)
-    if p <= 0.0:
-        return 0.0
-    c1, c2 = float(num1) / p, float(num2) / p
-    ref = nearest_front_point(front, (c1, c2))
-    return p * float(np.hypot(c1 - ref.q1, c2 - ref.q2))
+    return float(moeeqi_scores(front, qp1.mean, qp1.sd, qp2.mean, qp2.sd, mode)[0])
 
 
 def moeeqi_scores(
@@ -289,8 +273,9 @@ def moeeqi_scores(
     sd2: np.ndarray,
     mode: ImprovementMode,
 ) -> np.ndarray:
-    """Vectorized criterion over a batch of candidates (same closed form as
-    ``moeeqi``, evaluated for all points at once)."""
+    """Criterion for a batch of candidates: improvement probability times the
+    distance from the region centroid to the nearest front point, zero where
+    the probability vanishes."""
     mass, num1, num2 = _improvement_terms(front, mu1, sd1, mu2, sd2, mode)
     mass = np.atleast_1d(mass)
     num1, num2 = np.atleast_1d(num1), np.atleast_1d(num2)

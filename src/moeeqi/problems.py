@@ -141,10 +141,7 @@ def ground_truth(xc):
 
 def true_pareto_front(resolution: int) -> ParetoFront:
     """Reference front of the noise-free benchmark on a control-space grid."""
-    grid = candidate_grid(TOY_CONTROL_BOUNDS, resolution)
-    f1, f2 = ground_truth(grid)
-    pts = [FrontPoint(float(a), float(b), source=grid[i]) for i, (a, b) in enumerate(zip(f1, f2))]
-    return build_front(pts)
+    return oracle_front(toy_problem(0.0), resolution)
 
 
 def oracle_front(problem: "ProblemSpec", resolution: int) -> ParetoFront:
@@ -209,13 +206,19 @@ class ProblemSpec:
     def dim(self) -> int:
         return self.control_bounds.shape[0]
 
-    def evaluate_mc(self, xc, n: int, rng, keep_raw: bool = False) -> McBatch:
-        """Run the simulator at ``xc`` over ``n`` fresh environmental draws and
-        aggregate into a Monte Carlo batch."""
-        draws = sample_environment(self.env, n, rng)
-        values = np.asarray(self.evaluator(np.asarray(xc, dtype=float), draws), dtype=float)
+    def evaluate_mc(self, xc, n: int, rng, keep_raw: bool = False, draws=None) -> McBatch:
+        """Run the simulator at ``xc`` over ``n`` environmental draws and
+        aggregate into a Monte Carlo batch. The draws are sampled fresh from
+        ``rng`` unless given (a batch shared by several points). The evaluator
+        must return a finite (n, 2) array."""
+        if draws is None:
+            draws = sample_environment(self.env, n, rng)
+        xc = np.asarray(xc, dtype=float)
+        values = np.asarray(self.evaluator(xc, draws), dtype=float)
         if values.shape != (n, 2):
             raise ValueError(f"evaluator returned shape {values.shape}, expected ({n}, 2)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"evaluator returned non-finite values at control point {xc}")
         return mc_aggregate(values.T, keep_raw=keep_raw)
 
 
@@ -345,11 +348,14 @@ def initial_design(s: int, bounds, rng, restarts: int = 4, max_sweeps: int = 20)
 
 def candidate_grid(bounds, resolution: int) -> np.ndarray:
     """Full-factorial candidate grid including the boundary values, ordered
-    lexicographically so argmax tie-breaking is deterministic."""
+    lexicographically so argmax tie-breaking is deterministic. An axis with
+    lo == hi is pinned to its single value."""
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounds]
+    if np.any(bounds[:, 0] > bounds[:, 1]):
+        raise ValueError(f"grid bounds must satisfy lo <= hi, got {bounds.tolist()}")
+    axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, resolution) for lo, hi in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -408,6 +414,14 @@ def _parse_cost_params(doc, where: str) -> CostParams:
         raise ProblemSchemaError(f"invalid cost parameters at '{where.rstrip('.')}': {exc}") from exc
 
 
+def _is_path(source) -> bool:
+    # A JSON document longer than the file-name limit makes the probe raise.
+    try:
+        return Path(str(source)).exists()
+    except (OSError, ValueError):
+        return False
+
+
 def load_problem(source) -> ProblemSpec:
     """Build a ProblemSpec from a JSON document (path, JSON string, or dict).
 
@@ -417,7 +431,7 @@ def load_problem(source) -> ProblemSpec:
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+        text = Path(source).read_text() if _is_path(source) else str(source)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -117,6 +117,22 @@ def quadrature_improvement(front, qp1, qp2, mode, epsabs=1e-13, epsrel=1e-10):
     return mass, num1 / mass, num2 / mass
 
 
+def kernel_eval(params, x, y) -> float:
+    """Squared-exponential covariance between two control points, one point
+    pair at a time: process_variance * exp(-sum_k (x_k - y_k)^2 / (2 l_k^2))."""
+    z = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / params.lengthscales
+    return float(params.process_variance * np.exp(-0.5 * np.dot(z, z)))
+
+
+def nearest_front_point(front, q):
+    """Front member closest in Euclidean distance to ``q``; ties go to the
+    smaller-q1 point."""
+    if len(front) == 0:
+        raise ValueError("front is empty")
+    d2 = (front.q1s() - q[0]) ** 2 + (front.q2s() - q[1]) ** 2
+    return front[int(np.argmin(d2))]
+
+
 def random_front(rng, size, lo=-2.0, hi=2.0):
     """Strictly staircase-shaped front with the given number of points."""
     q1 = np.sort(rng.uniform(lo, hi, size))

@@ -14,6 +14,7 @@ from moeeqi.acquisition import (
     future_noise,
     merge_replicate,
     quantile_posterior,
+    quantile_posterior_arrays,
     replication_variance,
 )
 from moeeqi.gp import GpDataset, NoisyObservation
@@ -60,6 +61,22 @@ class TestQuantilePosterior:
             qp = quantile_posterior(m, s2, sig2, beta)
             assert abs(qp.sd**2 * (s2 + sig2) - s2**2) <= 1e-12 * s2**2
             assert qp.mean >= m - 1e-12
+
+    def test_scalar_form_equals_array_form_elementwise(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=40)
+        s2 = rng.uniform(0.0, 4.0, size=40)
+        sig2 = rng.uniform(0.0, 4.0, size=40)
+        s2[:10] = 0.0  # resolved points with noisy future observations
+        s2[10:15] = sig2[10:15] = 0.0  # s2 + sigma^2 == 0
+        sig2[15:20] = 0.0  # noiseless future observations
+        for beta in (0.5, 0.7, 0.95):
+            for sigma2 in np.unique(sig2):
+                mean, sd = quantile_posterior_arrays(m, s2, sigma2, beta)
+                for j in range(m.size):
+                    qp = quantile_posterior(m[j], s2[j], sigma2, beta)
+                    assert qp.mean == mean[j]
+                    assert qp.sd == sd[j]
 
     def test_sd_never_exceeds_current_posterior_sd(self):
         rng = np.random.default_rng(1)

@@ -142,6 +142,25 @@ class TestCmdRun:
         assert "'a'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}])
+    def test_invalid_fixed_coords_exit_2_naming_the_field(self, tmp_path, capsys, fixed):
+        rc = main([
+            "run", "--problem", _problem_file(tmp_path),
+            "--config", _config_file(tmp_path, fixed_coords=fixed), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "fixed_coords" in capsys.readouterr().err
+
+    def test_inline_problem_json_longer_than_a_file_name(self, tmp_path):
+        doc = {"problem": "toy", "a": 0.0, "env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}] * 8}
+        assert len(json.dumps(doc)) > 255
+        rc = main([
+            "run", "--problem", json.dumps(doc),
+            "--config", _config_file(tmp_path, n_iter=1), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -232,6 +251,18 @@ class TestCmdStudy:
         ])
         assert rc == 2
         assert "replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}])
+    def test_invalid_fixed_coords_exit_2_before_any_replicate(self, tmp_path, capsys, fixed):
+        out = tmp_path / "study"
+        rc = main([
+            "study", "--problem", _problem_file(tmp_path),
+            "--config", _config_file(tmp_path, fixed_coords=fixed, truth_resolution=50),
+            "--replicates", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "fixed_coords" in capsys.readouterr().err
+        assert not (out / "study_meta.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,15 @@ from moeeqi.gp import (
     GpFitError,
     KernelParams,
     NoisyObservation,
-    beta0_hat,
     fit_hyperparameters,
-    kernel_eval,
     log_marginal_likelihood,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
 from moeeqi.gp import _factorize, _kernel_matrix
+
+from _oracles import kernel_eval
 
 _ND = NormalDist()  # independent stdlib implementation used as oracle
 
@@ -82,33 +82,36 @@ def test_normal_pdf_peak():
 
 
 class TestKernelEval:
+    """``_kernel_matrix`` entrywise against the one-pair reference ``kernel_eval``."""
+
     def test_zero_distance_gives_process_variance(self):
         params = KernelParams(1.0, [1.0, 1.0])
+        assert _kernel_matrix(params, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == 1.0
         assert kernel_eval(params, [0.0, 0.0], [0.0, 0.0]) == 1.0
 
     def test_analytic_value(self):
         params = KernelParams(2.0, [1.0, 1.0])
-        val = kernel_eval(params, [0.0, 0.0], [1.0, 0.0])
+        val = _kernel_matrix(params, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))[0, 0]
         assert abs(val - 2.0 * math.exp(-0.5)) < 1e-12
+        assert abs(kernel_eval(params, [0.0, 0.0], [1.0, 0.0]) - 2.0 * math.exp(-0.5)) < 1e-12
 
     def test_random_anisotropic_matches_scalar_formula(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = rng.integers(1, 5)
             params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=v))
-            x, y = rng.normal(size=v), rng.normal(size=v)
-            expected = params.process_variance * math.exp(
-                -sum((x[k] - y[k]) ** 2 / (2.0 * params.lengthscales[k] ** 2) for k in range(v))
-            )
-            assert abs(kernel_eval(params, x, y) - expected) < 1e-12
-            assert kernel_eval(params, x, y) == kernel_eval(params, y, x)
-
-    def test_dimension_mismatch_raises(self):
-        params = KernelParams(1.0, [1.0, 1.0])
-        with pytest.raises(ValueError):
-            kernel_eval(params, [0.0, 0.0], [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            kernel_eval(params, [0.0], [0.0])
+            X, Y = rng.normal(size=(4, v)), rng.normal(size=(3, v))
+            K = _kernel_matrix(params, X, Y)
+            assert K.shape == (4, 3)
+            for i, x in enumerate(X):
+                for j, y in enumerate(Y):
+                    expected = params.process_variance * math.exp(
+                        -sum((x[k] - y[k]) ** 2 / (2.0 * params.lengthscales[k] ** 2) for k in range(v))
+                    )
+                    assert abs(kernel_eval(params, x, y) - expected) < 1e-12
+                    assert kernel_eval(params, x, y) == kernel_eval(params, y, x)
+                    assert abs(K[i, j] - kernel_eval(params, x, y)) < 1e-12
+            assert np.allclose(_kernel_matrix(params, X), _kernel_matrix(params, X).T, rtol=0, atol=1e-12)
 
 
 def test_kernel_params_validation():
@@ -147,14 +150,14 @@ class TestBeta0Hat:
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(5, 2))
         ds = GpDataset([NoisyObservation(x, 3.25, 0.1) for x in X])
-        assert abs(beta0_hat(ds, KernelParams(1.0, [0.5, 0.5])) - 3.25) < 1e-10
+        assert abs(GpEmulator(ds, KernelParams(1.0, [0.5, 0.5])).beta0 - 3.25) < 1e-10
 
     def test_noise_dominated_limit_is_arithmetic_mean(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(size=(6, 2))
         y = rng.normal(size=6)
         ds = GpDataset([NoisyObservation(X[j], y[j], 1e9) for j in range(6)])
-        assert abs(beta0_hat(ds, KernelParams(1.0, [0.5, 0.5])) - y.mean()) < 1e-6
+        assert abs(GpEmulator(ds, KernelParams(1.0, [0.5, 0.5])).beta0 - y.mean()) < 1e-6
 
     def test_generic_dataset_matches_dense_solve(self):
         rng = np.random.default_rng(3)
@@ -163,7 +166,7 @@ class TestBeta0Hat:
         _, _, b0_ref = _dense_posterior(
             ds.locations(), ds.means(), ds.variances(), params, np.zeros(2)
         )
-        assert abs(beta0_hat(ds, params) - b0_ref) < 1e-10
+        assert abs(GpEmulator(ds, params).beta0 - b0_ref) < 1e-10
 
 
 # ---------------------------------------------------------------------------

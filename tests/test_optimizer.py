@@ -24,7 +24,14 @@ from moeeqi.pareto import (
     ParetoFront,
     moeeqi,
 )
-from moeeqi.problems import ProblemSpec, Uniform, candidate_grid, toy_problem, true_pareto_front
+from moeeqi.problems import (
+    ProblemSchemaError,
+    ProblemSpec,
+    Uniform,
+    candidate_grid,
+    toy_problem,
+    true_pareto_front,
+)
 
 AGG = ImprovementMode.AGGRESSIVE
 NONAGG = ImprovementMode.NON_AGGRESSIVE
@@ -155,6 +162,52 @@ class TestRun:
         for rec in state.history:
             assert rec.point[1] == 0.0
 
+    @pytest.mark.parametrize("fixed", [{2: 0.0}, {-1: 0.0}, {1: 1.5}, {0: -0.1}, {1: math.nan}])
+    def test_invalid_fixed_coords_rejected_before_the_grid(self, fixed):
+        calls = []
+        toy = toy_problem(0.0)
+
+        def evaluator(xc, xe):
+            calls.append(xc)
+            return toy.evaluator(xc, xe)
+
+        problem = ProblemSpec(evaluator, toy.env, toy.control_bounds, truth=toy.truth)
+        with pytest.raises(ProblemSchemaError, match="fixed_coords"):
+            run(problem, _small_config(fixed_coords=fixed))
+        assert calls == []
+
+    def test_short_evaluator_batch_is_rejected(self):
+        toy = toy_problem(0.0)
+        problem = ProblemSpec(lambda xc, xe: toy.evaluator(xc, xe)[:3], toy.env, toy.control_bounds)
+        with pytest.raises(ValueError, match=r"shape \(3, 2\), expected \(6, 2\)"):
+            run(problem, _small_config())
+
+    def test_short_batch_in_the_loop_is_rejected(self):
+        # only the batches after the initial design come back short
+        toy = toy_problem(0.0)
+        calls = []
+
+        def evaluator(xc, xe):
+            calls.append(xc)
+            out = toy.evaluator(xc, xe)
+            return out if len(calls) <= 4 else out[:3]
+
+        problem = ProblemSpec(evaluator, toy.env, toy.control_bounds)
+        with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+            run(problem, _small_config())
+
+    def test_non_finite_evaluator_batch_names_the_point(self):
+        toy = toy_problem(0.0)
+
+        def evaluator(xc, xe):
+            out = toy.evaluator(xc, xe)
+            out[0, 1] = math.nan
+            return out
+
+        problem = ProblemSpec(evaluator, toy.env, toy.control_bounds)
+        with pytest.raises(ValueError, match="non-finite values at control point"):
+            run(problem, _small_config())
+
     def test_min_score_stops_early(self):
         config = _small_config(n_iter=5, min_score=1e9, seed=7)
         state = run(toy_problem(0.0), config)
@@ -192,9 +245,7 @@ class TestSelection:
         from moeeqi.optimizer import _design_front
 
         sigma2 = future_noise(state.datasets)
-        front = _design_front(
-            state.emulators, state.datasets[0].locations(), None, beta, sigma2, False
-        )
+        front = _design_front(state, beta, sigma2)
         for idx in rng.choice(len(grid), size=5, replace=False):
             x = grid[idx]
             qps = []

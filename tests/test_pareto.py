@@ -6,7 +6,13 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from _oracles import brute_force_front, mc_improvement, quadrature_improvement, random_front
+from _oracles import (
+    brute_force_front,
+    mc_improvement,
+    nearest_front_point,
+    quadrature_improvement,
+    random_front,
+)
 from moeeqi.acquisition import QuantilePosterior
 from moeeqi.pareto import (
     ConstraintSpec,
@@ -19,7 +25,6 @@ from moeeqi.pareto import (
     feasible_mask,
     moeeqi,
     moeeqi_scores,
-    nearest_front_point,
     probability_of_improvement,
 )
 
@@ -298,6 +303,8 @@ class TestMoeeqi:
                     assert abs(c1[1] - c0[1] - shift[1]) < 1e-10
 
     def test_vectorized_scores_match_scalar(self):
+        # reference: probability times the distance from the centroid to the
+        # nearest front point, found by the oracle's one-point scan
         rng = np.random.default_rng(8)
         front = random_front(rng, 4)
         n = 64
@@ -308,13 +315,16 @@ class TestMoeeqi:
         for mode in ImprovementMode:
             vec = moeeqi_scores(front, mu1, sd1, mu2, sd2, mode)
             for i in range(n):
-                scalar = moeeqi(
-                    front,
-                    QuantilePosterior(mu1[i], sd1[i]),
-                    QuantilePosterior(mu2[i], sd2[i]),
-                    mode,
-                )
-                assert abs(vec[i] - scalar) < 1e-12
+                qp1 = QuantilePosterior(mu1[i], sd1[i])
+                qp2 = QuantilePosterior(mu2[i], sd2[i])
+                p = probability_of_improvement(front, qp1, qp2, mode)
+                expected = 0.0
+                if p > 0.0:
+                    c = centroid(front, qp1, qp2, mode)
+                    ref = nearest_front_point(front, c)
+                    expected = p * math.hypot(c[0] - ref.q1, c[1] - ref.q2)
+                assert abs(vec[i] - expected) < 1e-12
+                assert moeeqi(front, qp1, qp2, mode) == vec[i]
 
 
 def test_front_class_rejects_non_staircase_order():

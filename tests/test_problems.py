@@ -314,6 +314,16 @@ class TestCandidateGrid:
         with pytest.raises(ValueError):
             candidate_grid([[0.0, 1.0]], 1)
 
+    def test_degenerate_axis_gives_a_single_value(self):
+        grid = candidate_grid([[0.0, 1.0], [0.25, 0.25]], 5)
+        assert grid.shape == (5, 2)
+        assert np.all(grid[:, 1] == 0.25)
+        assert grid[:, 0].tolist() == np.linspace(0.0, 1.0, 5).tolist()
+
+    def test_reversed_axis_is_rejected(self):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            candidate_grid([[0.0, 1.0], [1.0, 0.5]], 5)
+
 
 # ---------------------------------------------------------------------------
 # JSON problem documents
@@ -362,6 +372,14 @@ class TestLoadProblem:
         problem = load_problem(doc)
         assert problem.constraints.upper_bounds == (1.2, None)
         assert problem.cost_params.population == 1e4
+
+    def test_inline_json_longer_than_a_file_name(self):
+        doc = {"problem": "toy", "a": 0.25, "env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}] * 8}
+        text = json.dumps(doc)
+        assert len(text) > 255
+        problem = load_problem(text)
+        assert problem.name == "toy(a=0.25)"
+        assert len(problem.env) == 8
 
     def test_invalid_json_text(self):
         with pytest.raises(ProblemSchemaError, match="JSON"):
