@@ -37,6 +37,14 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _cast(value, cast, field: str):
+    """``cast(value)``; a failure is a schema error naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemSchemaError(f"invalid value {value!r} for '{field}': {exc}") from exc
+
+
 def load_config(source) -> tuple[RunConfig, dict]:
     """Parse a config document into a RunConfig plus study-level options."""
     if isinstance(source, dict):
@@ -46,15 +54,18 @@ def load_config(source) -> tuple[RunConfig, dict]:
             doc = json.loads(Path(source).read_text())
         except json.JSONDecodeError as exc:
             raise ProblemSchemaError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProblemSchemaError(f"config must be a JSON object, got {type(doc).__name__}")
+    betas = doc.pop("study_betas", None)
     study = {
-        "study_betas": doc.pop("study_betas", None),
-        "truth_resolution": int(doc.pop("truth_resolution", 500)),
+        "study_betas": None if betas is None else _cast(
+            betas, lambda bs: [float(b) for b in bs], "study_betas"),
+        "truth_resolution": _cast(doc.pop("truth_resolution", 500), int, "truth_resolution"),
     }
-    kwargs = {
-        "beta": float(_require(doc, "beta")),
-        "n_mc": int(_require(doc, "n_mc")),
-        "n_iter": int(_require(doc, "n_iter")),
-    }
+    if study["truth_resolution"] < 2:
+        raise ProblemSchemaError("field 'truth_resolution' must be at least 2")
+    kwargs = {key: _cast(_require(doc, key), cast, key)
+              for key, cast in [("beta", float), ("n_mc", int), ("n_iter", int)]}
     for key, cast in [
         ("grid_resolution", int),
         ("initial_design_size", int),
@@ -64,19 +75,15 @@ def load_config(source) -> tuple[RunConfig, dict]:
         ("literal_constraint_formula", bool),
         ("fit_restarts", int),
         ("min_score", float),
+        ("mode_schedule", lambda entries: tuple((str(m), int(c)) for m, c in entries)),
+        ("fixed_coords", lambda fixed: {int(k): float(v) for k, v in dict(fixed).items()}),
     ]:
-        if key in doc and doc[key] is not None:
-            kwargs[key] = cast(doc[key])
-    if doc.get("mode_schedule") is not None:
-        kwargs["mode_schedule"] = tuple((str(m), int(c)) for m, c in doc["mode_schedule"])
-    if doc.get("fixed_coords") is not None:
-        kwargs["fixed_coords"] = {int(k): float(v) for k, v in doc["fixed_coords"].items()}
+        if doc.get(key) is not None:
+            kwargs[key] = _cast(doc[key], cast, key)
     try:
         config = RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ProblemSchemaError(f"invalid config: {exc}") from exc
-    if study["study_betas"] is not None:
-        study["study_betas"] = [float(b) for b in study["study_betas"]]
     return config, study
 
 
@@ -84,7 +91,7 @@ def _resolve_seed(config: RunConfig, cli_seed) -> RunConfig:
     seed = config.seed
     env_seed = os.environ.get("MOEEQI_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        seed = _cast(env_seed, int, "MOEEQI_SEED")
     if cli_seed is not None:
         seed = int(cli_seed)
     config.seed = seed

@@ -18,14 +18,7 @@ import numpy as np
 
 from .acquisition import future_noise, merge_replicate, quantile_posterior_arrays
 from .gp import GpDataset, GpEmulator, NoisyObservation, std_normal_quantile
-from .pareto import (
-    FrontPoint,
-    ImprovementMode,
-    ParetoFront,
-    build_front,
-    feasible_mask,
-    moeeqi_scores,
-)
+from .pareto import ImprovementMode, ParetoFront, build_front, feasible_mask, moeeqi_scores
 from .problems import (
     ProblemSchemaError,
     ProblemSpec,
@@ -156,12 +149,8 @@ def _design_front(state: "RunState", beta: float, sigma2_future) -> ParetoFront:
         m, s2 = em.posterior(locations)
         quantiles[:, i] = m + z * np.sqrt(s2)
         _, adj_sd[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
-    points = [
-        FrontPoint(float(q1), float(q2), source=locations[j])
-        for j, (q1, q2) in enumerate(quantiles)
-    ]
     return build_front(
-        points, state.problem.constraints, noise_sd=adj_sd, beta=beta,
+        quantiles, locations, state.problem.constraints, noise_sd=adj_sd, beta=beta,
         literal_formula=state.config.literal_constraint_formula,
     )
 
@@ -344,30 +333,22 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
 # ---------------------------------------------------------------------------
 
 
-def _overestimates(q1: float, q2: float, truth: ParetoFront) -> bool:
-    # True when no truth point dominates-or-equals (q1, q2): the point claims
-    # objective values on the better side of the attainable front.
-    tq1, tq2 = truth.q1s(), truth.q2s()
-    idx = int(np.searchsorted(tq1, q1, side="right")) - 1
-    return idx < 0 or tq2[idx] > q2
-
-
 def front_metrics(front: ParetoFront, truth: ParetoFront, penalty_factors=(5.0, 10.0)):
     """Mean distance from front points to their nearest truth points, plus
-    penalized variants multiplying the distance of overestimating points."""
+    penalized variants multiplying the distance of overestimating points, those
+    that no truth point dominates or equals."""
     if len(truth) == 0:
         raise ValueError("truth front is empty")
     if len(front) == 0:
         return math.nan, {float(f): math.nan for f in penalty_factors}, 0
     tq1, tq2 = truth.q1s(), truth.q2s()
-    dists = np.empty(len(front))
-    overs = np.empty(len(front), dtype=bool)
-    for j, p in enumerate(front):
-        dists[j] = math.sqrt(float(np.min((tq1 - p.q1) ** 2 + (tq2 - p.q2) ** 2)))
-        overs[j] = _overestimates(p.q1, p.q2, truth)
-    penalized = {}
-    for f in penalty_factors:
-        penalized[float(f)] = float(np.mean(np.where(overs, float(f) * dists, dists)))
+    q1, q2 = front.q1s()[:, None], front.q2s()[:, None]
+    dists = np.sqrt(np.min((tq1 - q1) ** 2 + (tq2 - q2) ** 2, axis=1))
+    # The last truth point with q1 <= the front point's has the least q2 of those.
+    idx = np.searchsorted(tq1, q1[:, 0], side="right") - 1
+    overs = (idx < 0) | (tq2[np.maximum(idx, 0)] > q2[:, 0])
+    penalized = {float(f): float(np.mean(np.where(overs, float(f) * dists, dists)))
+                 for f in penalty_factors}
     return float(np.mean(dists)), penalized, len(front)
 
 

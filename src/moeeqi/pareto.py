@@ -61,15 +61,14 @@ class ParetoFront:
     """Non-dominated set sorted ascending in q1 (hence descending in q2)."""
 
     def __init__(self, points: Sequence[FrontPoint]):
-        pts = list(points)
-        for a, b in zip(pts, pts[1:]):
-            if not (a.q1 < b.q1 and a.q2 > b.q2):
-                raise ValueError(
-                    "front must be strictly increasing in q1 and strictly decreasing in q2"
-                )
-        self._points = tuple(pts)
-        self._q1 = np.array([p.q1 for p in pts], dtype=float)
-        self._q2 = np.array([p.q2 for p in pts], dtype=float)
+        self._points = tuple(points)
+        self._q1 = np.array([p.q1 for p in self._points], dtype=float)
+        self._q2 = np.array([p.q2 for p in self._points], dtype=float)
+        # NaN compares false, so it fails the check like any other disorder.
+        if not (np.all(np.diff(self._q1) > 0) and np.all(np.diff(self._q2) < 0)):
+            raise ValueError(
+                "front must be strictly increasing in q1 and strictly decreasing in q2"
+            )
 
     def __len__(self) -> int:
         return len(self._points)
@@ -79,10 +78,6 @@ class ParetoFront:
 
     def __getitem__(self, i: int) -> FrontPoint:
         return self._points[i]
-
-    @property
-    def points(self) -> tuple:
-        return self._points
 
     def q1s(self) -> np.ndarray:
         return self._q1.copy()
@@ -141,36 +136,34 @@ def feasible_mask(
 
 
 def build_front(
-    candidates: Sequence[FrontPoint],
+    q: np.ndarray,
+    sources: np.ndarray | None = None,
     constraints: ConstraintSpec | None = None,
     noise_sd: np.ndarray | None = None,
     beta: float = 0.5,
     literal_formula: bool = False,
 ) -> ParetoFront:
-    """Maximal non-dominated subset of the candidates, constraint-filtered.
+    """Maximal non-dominated subset of the (n, 2) objective values ``q``,
+    constraint-filtered; row i of the optional (n, v) ``sources`` is the
+    control point of candidate i.
 
     Candidates whose noise-adjusted value exceeds an active bound are dropped
     first. Dominance is the usual bi-objective rule (<= in both coordinates,
     < in at least one); exact duplicates keep the first-seen point. The empty
     front is allowed.
     """
-    cands = list(candidates)
-    if not cands:
-        return ParetoFront([])
-    q = np.array([(p.q1, p.q2) for p in cands], dtype=float)
-    keep = feasible_mask(q, noise_sd, constraints, beta, literal_formula)
-    survivors = [p for p, k in zip(cands, keep) if k]
-    # Sweep in (q1, q2) order: a point is non-dominated iff it strictly
-    # improves the best q2 seen so far.
-    order = sorted(range(len(survivors)), key=lambda i: (survivors[i].q1, survivors[i].q2))
-    front = []
-    best_q2 = np.inf
-    for i in order:
-        p = survivors[i]
-        if p.q2 < best_q2:
-            front.append(p)
-            best_q2 = p.q2
-    return ParetoFront(front)
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 2 or (sources is not None and len(sources) != len(q)):
+        raise ValueError(f"build_front needs (n, 2) values and n sources, got values {q.shape}")
+    idx = np.flatnonzero(feasible_mask(q, noise_sd, constraints, beta, literal_formula))
+    # Sweep in (q1, q2) order, stable so that duplicates keep the first seen:
+    # a point is non-dominated iff it strictly improves the best q2 seen so
+    # far (fmin, like the comparison, passes over a NaN q2).
+    idx = idx[np.lexsort((q[idx, 1], q[idx, 0]))]
+    q2 = q[idx, 1]
+    idx = idx[q2 < np.fmin.accumulate(np.r_[np.inf, q2[:-1]])]
+    src = [None] * len(idx) if sources is None else np.asarray(sources, dtype=float)[idx]
+    return ParetoFront([FrontPoint(float(a), float(b), s) for (a, b), s in zip(q[idx], src)])
 
 
 # ---------------------------------------------------------------------------

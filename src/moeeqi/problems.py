@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .pareto import ConstraintSpec, FrontPoint, ParetoFront, build_front
+from .pareto import ConstraintSpec, ParetoFront, build_front
 
 __all__ = [
     "Uniform",
@@ -150,9 +150,7 @@ def oracle_front(problem: "ProblemSpec", resolution: int) -> ParetoFront:
     if problem.truth is None:
         raise ValueError(f"problem {problem.name!r} has no ground truth to evaluate")
     grid = candidate_grid(problem.control_bounds, resolution)
-    f1, f2 = problem.truth(grid)
-    pts = [FrontPoint(float(a), float(b), source=grid[i]) for i, (a, b) in enumerate(zip(f1, f2))]
-    return build_front(pts)
+    return build_front(np.column_stack(problem.truth(grid)), grid)
 
 
 def toy_problem(

@@ -34,6 +34,27 @@ def brute_force_front(points):
     return sorted(kept, key=lambda p: (p.q1, p.q2))
 
 
+def front_metrics_reference(front, truth, penalty_factors=(5.0, 10.0)):
+    """Per-point form of ``moeeqi.optimizer.front_metrics``: for each front
+    point, the distance to its nearest truth point, multiplied by the penalty
+    factor when no truth point dominates or equals it."""
+    if len(truth) == 0:
+        raise ValueError("truth front is empty")
+    if len(front) == 0:
+        return math.nan, {float(f): math.nan for f in penalty_factors}, 0
+    tq1, tq2 = truth.q1s(), truth.q2s()
+    dists = np.empty(len(front))
+    overs = np.empty(len(front), dtype=bool)
+    for j, p in enumerate(front):
+        dists[j] = math.sqrt(float(np.min((tq1 - p.q1) ** 2 + (tq2 - p.q2) ** 2)))
+        idx = int(np.searchsorted(tq1, p.q1, side="right")) - 1
+        overs[j] = idx < 0 or tq2[idx] > p.q2
+    penalized = {}
+    for f in penalty_factors:
+        penalized[float(f)] = float(np.mean(np.where(overs, float(f) * dists, dists)))
+    return float(np.mean(dists)), penalized, len(front)
+
+
 def region_membership(front, z1, z2, mode):
     """Membership of sampled quantile pairs in the improving region, from the
     dominance definition (not the strip algebra)."""

@@ -142,7 +142,7 @@ class TestCmdRun:
         assert "'a'" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}])
+    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}, {"x": 0.1}])
     def test_invalid_fixed_coords_exit_2_naming_the_field(self, tmp_path, capsys, fixed):
         rc = main([
             "run", "--problem", _problem_file(tmp_path),
@@ -150,6 +150,24 @@ class TestCmdRun:
         ])
         assert rc == 2
         assert "fixed_coords" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, env_seed, field", [
+        ({"beta": 0.7, "n_mc": "many", "n_iter": 2}, None, "n_mc"),
+        ({"beta": 0.7, "n_mc": 8, "n_iter": 2, "mode_schedule": [["aggressive"]]}, None, "mode_schedule"),
+        ([{"beta": 0.7, "n_mc": 8, "n_iter": 2}], None, "config"),
+        ({"beta": 0.7, "n_mc": 8, "n_iter": 2}, "abc", "MOEEQI_SEED"),
+    ])
+    def test_invalid_config_value_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, doc, env_seed, field
+    ):
+        if env_seed is not None:
+            monkeypatch.setenv("MOEEQI_SEED", env_seed)
+        rc = main([
+            "run", "--problem", _problem_file(tmp_path),
+            "--config", _write_json(tmp_path / "config.json", doc), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert field in capsys.readouterr().err
 
     def test_inline_problem_json_longer_than_a_file_name(self, tmp_path):
         doc = {"problem": "toy", "a": 0.0, "env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}] * 8}
@@ -252,7 +270,7 @@ class TestCmdStudy:
         assert rc == 2
         assert "replicates" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}])
+    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}, {"x": 0.1}])
     def test_invalid_fixed_coords_exit_2_before_any_replicate(self, tmp_path, capsys, fixed):
         out = tmp_path / "study"
         rc = main([
@@ -263,6 +281,20 @@ class TestCmdStudy:
         assert rc == 2
         assert "fixed_coords" in capsys.readouterr().err
         assert not (out / "study_meta.json").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"study_betas": 0.7}, "study_betas"),
+        ({"truth_resolution": 1}, "truth_resolution"),
+    ])
+    def test_invalid_study_field_exits_2_before_the_truth_front(self, tmp_path, capsys, overrides, field):
+        out = tmp_path / "study"
+        rc = main([
+            "study", "--problem", _problem_file(tmp_path),
+            "--config", _config_file(tmp_path, **overrides), "--replicates", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -44,21 +44,18 @@ def _front(*pairs):
 
 class TestBuildFront:
     def test_hand_checkable_dominance(self):
-        pts = [FrontPoint(1, 3), FrontPoint(2, 2), FrontPoint(3, 1), FrontPoint(2.5, 2.5)]
-        front = build_front(pts)
+        front = build_front(np.array([[1, 3], [2, 2], [3, 1], [2.5, 2.5]]))
         assert [(p.q1, p.q2) for p in front] == [(1, 3), (2, 2), (3, 1)]
 
     def test_single_candidate(self):
-        front = build_front([FrontPoint(0.3, 0.7)])
+        front = build_front(np.array([[0.3, 0.7]]))
         assert len(front) == 1 and front[0].q1 == 0.3
 
     def test_empty_allowed(self):
-        assert len(build_front([])) == 0
+        assert len(build_front(np.empty((0, 2)))) == 0
 
     def test_duplicates_keep_first_seen(self):
-        a = FrontPoint(1.0, 1.0, source=np.array([0.1]))
-        b = FrontPoint(1.0, 1.0, source=np.array([0.9]))
-        front = build_front([a, b])
+        front = build_front(np.array([[1.0, 1.0], [1.0, 1.0]]), sources=np.array([[0.1], [0.9]]))
         assert len(front) == 1
         assert front[0].source[0] == 0.1
 
@@ -66,22 +63,21 @@ class TestBuildFront:
         rng = np.random.default_rng(0)
         for trial in range(5):
             n = 200 if trial < 4 else 500
-            pts = [FrontPoint(*map(float, rng.uniform(0, 1, 2))) for _ in range(n)]
-            fast = build_front(pts)
-            slow = brute_force_front(pts)
+            q = rng.uniform(0, 1, (n, 2))
+            fast = build_front(q)
+            slow = brute_force_front([FrontPoint(*map(float, row)) for row in q])
             assert [(p.q1, p.q2) for p in fast] == [(p.q1, p.q2) for p in slow]
 
     def test_staircase_invariant(self):
         rng = np.random.default_rng(1)
-        pts = [FrontPoint(*map(float, rng.normal(size=2))) for _ in range(300)]
-        front = build_front(pts)
+        front = build_front(rng.normal(size=(300, 2)))
         q1 = front.q1s()
         q2 = front.q2s()
         assert np.all(np.diff(q1) > 0)
         assert np.all(np.diff(q2) < 0)
 
     def test_constraint_filtering_drops_violating_candidates(self):
-        pts = [FrontPoint(0.5, 3.0), FrontPoint(1.0, 1.0), FrontPoint(3.0, 0.5)]
+        pts = np.array([[0.5, 3.0], [1.0, 1.0], [3.0, 0.5]])
         spec = ConstraintSpec((2.0, 2.0))
         sd = np.zeros((3, 2))
         front = build_front(pts, constraints=spec, noise_sd=sd, beta=0.7)
@@ -90,7 +86,7 @@ class TestBuildFront:
     def test_noise_adjustment_widens_the_feasible_set(self):
         # value 2.3 vs bound 2.0: infeasible with no noise, feasible once the
         # quantile sd slack PHI^{-1}(0.7) * 0.6 > 0.3 is granted
-        pts = [FrontPoint(2.3, 0.0)]
+        pts = np.array([[2.3, 0.0]])
         spec = ConstraintSpec((2.0, None))
         tight = build_front(pts, constraints=spec, noise_sd=np.array([[0.0, 0.0]]), beta=0.7)
         slack = build_front(pts, constraints=spec, noise_sd=np.array([[0.6, 0.0]]), beta=0.7)
@@ -98,7 +94,7 @@ class TestBuildFront:
         assert len(slack) == 1
 
     def test_literal_formula_uses_variance_instead_of_sd(self):
-        pts = [FrontPoint(2.3, 0.0)]
+        pts = np.array([[2.3, 0.0]])
         spec = ConstraintSpec((2.0, None))
         sd = np.array([[0.6, 0.0]])
         corrected = build_front(pts, constraints=spec, noise_sd=sd, beta=0.7, literal_formula=False)

@@ -7,9 +7,11 @@
 #   <src-dir> is the directory holding the moeeqi package, e.g. src.
 #
 # The configs: run on toy(a=0.5) for seeds 1-3, once with a mixed mode
-# schedule and once with a constraint; run with fixed_coords; run with the
-# moeei comparator and refit_hyperparameters false; a 2-replicate study;
-# and oracle. The JSON files (wall times) are not listed.
+# schedule and once with a constraint; a constrained run with the literal
+# (variance) constraint formula; run with fixed_coords; run with the moeei
+# comparator and refit_hyperparameters false; a 2-replicate study; and oracle
+# at resolution 200 and at 500, the study default. The JSON files (wall
+# times) are not listed.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/moeeqi" ]; then
@@ -38,6 +40,10 @@ JSON
 cat >"$work/plain.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5}
 JSON
+cat >"$work/literal.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
+ "seed": 4, "literal_constraint_formula": true}
+JSON
 cat >"$work/fixed.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
  "seed": 1, "fixed_coords": {"1": 0.0}}
@@ -58,11 +64,14 @@ for seed in 1 2 3; do
     cli run --problem "$work/toy_constrained.json" --config "$work/plain.json" \
         --seed "$seed" --out "$out/run_constrained_s$seed"
 done
+cli run --problem "$work/toy_constrained.json" --config "$work/literal.json" \
+    --out "$out/run_literal"
 cli run --problem "$work/toy.json" --config "$work/fixed.json" --out "$out/run_fixed"
 cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_moeei"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
 cli oracle --problem "$work/toy.json" --resolution 200 --out "$out/oracle/front.csv"
+cli oracle --problem "$work/toy.json" --resolution 500 --out "$out/oracle/front_500.csv"
 
 cd "$out"
 find . -name '*.csv' | LC_ALL=C sort | xargs sha256sum
