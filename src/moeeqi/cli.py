@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,20 @@ def _cast(value, cast, field: str):
         raise ProblemSchemaError(f"invalid value {value!r} for '{field}': {exc}") from exc
 
 
+def _whole(value) -> int:
+    """``int(value)``, refusing a boolean and a number that ``int`` would truncate."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
+def _json_bool(value) -> bool:
+    """A JSON ``true`` or ``false``; no other value is read as a boolean."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
 def load_config(source) -> tuple[RunConfig, dict]:
     """Parse a config document into a RunConfig plus study-level options."""
     if isinstance(source, dict):
@@ -60,22 +74,22 @@ def load_config(source) -> tuple[RunConfig, dict]:
     study = {
         "study_betas": None if betas is None else _cast(
             betas, lambda bs: [float(b) for b in bs], "study_betas"),
-        "truth_resolution": _cast(doc.pop("truth_resolution", 500), int, "truth_resolution"),
+        "truth_resolution": _cast(doc.pop("truth_resolution", 500), _whole, "truth_resolution"),
     }
     if study["truth_resolution"] < 2:
         raise ProblemSchemaError("field 'truth_resolution' must be at least 2")
     kwargs = {key: _cast(_require(doc, key), cast, key)
-              for key, cast in [("beta", float), ("n_mc", int), ("n_iter", int)]}
+              for key, cast in [("beta", float), ("n_mc", _whole), ("n_iter", _whole)]}
     for key, cast in [
-        ("grid_resolution", int),
-        ("initial_design_size", int),
-        ("seed", int),
+        ("grid_resolution", _whole),
+        ("initial_design_size", _whole),
+        ("seed", _whole),
         ("comparator", str),
-        ("refit_hyperparameters", bool),
-        ("literal_constraint_formula", bool),
-        ("fit_restarts", int),
+        ("refit_hyperparameters", _json_bool),
+        ("literal_constraint_formula", _json_bool),
+        ("fit_restarts", _whole),
         ("min_score", float),
-        ("mode_schedule", lambda entries: tuple((str(m), int(c)) for m, c in entries)),
+        ("mode_schedule", lambda entries: tuple((str(m), _whole(c)) for m, c in entries)),
         ("fixed_coords", lambda fixed: {int(k): float(v) for k, v in dict(fixed).items()}),
     ]:
         if doc.get(key) is not None:
@@ -197,9 +211,14 @@ def cmd_oracle(args) -> int:
 
 
 def _study_variants(config: RunConfig, study: dict) -> list:
+    """(comparator, beta, RunConfig) per study variant; a beta that RunConfig
+    rejects is a schema error naming ``study_betas``."""
     betas = study["study_betas"] or [config.beta]
-    variants = [("moeeqi", float(b)) for b in betas]
-    variants.append(("moeei", 0.5))
+    try:
+        variants = [("moeeqi", b, replace(config, beta=b, comparator="moeeqi")) for b in betas]
+    except ValueError as exc:
+        raise ProblemSchemaError(f"invalid value for 'study_betas': {exc}") from exc
+    variants.append(("moeei", 0.5, replace(config, beta=0.5, comparator="moeei")))
     return variants
 
 
@@ -210,25 +229,17 @@ def cmd_study(args) -> int:
     if args.replicates < 1:
         raise ProblemSchemaError("field 'replicates' must be at least 1")
     pinned_bounds(problem, config.fixed_coords)  # fail before the truth front, not per replicate
+    variants = _study_variants(config, study)  # likewise
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     truth = oracle_front(problem, study["truth_resolution"])
 
     rows = []
     failures = []
-    for comparator, beta in _study_variants(config, study):
+    for comparator, beta, variant in variants:
         for rep in range(args.replicates):
-            cfg = RunConfig(
-                **{
-                    **asdict(config),
-                    "beta": beta,
-                    "comparator": comparator,
-                    "seed": config.seed + rep,
-                    "mode_schedule": config.mode_schedule,
-                }
-            )
             try:
-                state = run(problem, cfg)
+                state = run(problem, replace(variant, seed=config.seed + rep))
             except Exception as exc:  # noqa: BLE001 - study keeps going per replicate
                 failures.append({"comparator": comparator, "beta": beta, "replicate": rep, "error": str(exc)})
                 continue
@@ -254,7 +265,7 @@ def cmd_study(args) -> int:
         "failures": failures,
     }
     (out_dir / "study_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    total = args.replicates * len(_study_variants(config, study))
+    total = args.replicates * len(variants)
     if failures:
         print(f"study finished with {len(failures)}/{total} failed replicates", file=sys.stderr)
         if len(failures) == total:

@@ -34,11 +34,10 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Relative jitter ladder: the Gram matrix is factorized as-is first; on
-# numerical failure the diagonal is inflated by process_variance times these
-# factors until the Cholesky succeeds.
-_JITTER_START = 1e-8
-_JITTER_MAX = 1e-4
+# Jitter ladder: the Gram matrix is factorized as-is first; on numerical
+# failure its diagonal is inflated by process_variance * 1e-8 * step for each
+# step in turn (up to 1e-4 relative) until the Cholesky succeeds.
+_JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
 
 class GpFitError(RuntimeError):
@@ -90,15 +89,10 @@ def point_key(x) -> tuple:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Squared-exponential kernel hyperparameters.
-
-    ``jitter`` is an absolute diagonal addition applied before factorization;
-    zero means the automatic escalation policy alone handles conditioning.
-    """
+    """Squared-exponential kernel hyperparameters."""
 
     process_variance: float
     lengthscales: np.ndarray
-    jitter: float = 0.0
 
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
@@ -107,12 +101,6 @@ class KernelParams:
             raise ValueError("process_variance must be positive")
         if not np.all(ls > 0.0):
             raise ValueError("all lengthscales must be positive")
-        if self.jitter < 0.0:
-            raise ValueError("jitter must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return self.lengthscales.size
 
 
 @dataclass
@@ -198,41 +186,38 @@ class GpDataset:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_matrix(params: KernelParams, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+def _kernel_matrix(process_variance: float, lengthscales: np.ndarray, X: np.ndarray,
+                   Y: np.ndarray | None = None) -> np.ndarray:
     """Squared-exponential covariances between the rows of X and of Y (or X):
     process_variance * exp(-sum_k (x_k - y_k)^2 / (2 l_k^2))."""
-    Xs = X / params.lengthscales
-    Ys = Xs if Y is None else Y / params.lengthscales
+    Xs = X / lengthscales
+    Ys = Xs if Y is None else Y / lengthscales
     sq = (
         np.sum(Xs * Xs, axis=1)[:, None]
         + np.sum(Ys * Ys, axis=1)[None, :]
         - 2.0 * Xs @ Ys.T
     )
     np.maximum(sq, 0.0, out=sq)
-    return params.process_variance * np.exp(-0.5 * sq)
+    return process_variance * np.exp(-0.5 * sq)
 
 
-def _factorize(C: np.ndarray, process_variance: float, jitter: float):
-    """Cholesky of the noise-augmented Gram matrix.
-
-    Tries the matrix as given (plus any caller-fixed jitter) and escalates the
-    diagonal by factors of 10 relative to process_variance, up to 1e-4, before
-    giving up.
-    """
-    eye = np.eye(C.shape[0])
-    for extra in [0.0] + [
-        process_variance * _JITTER_START * 10.0**k
-        for k in range(int(math.log10(_JITTER_MAX / _JITTER_START)) + 1)
-    ]:
-        total = jitter + extra
+def _gram_cholesky(X: np.ndarray, noise: np.ndarray, process_variance: float,
+                   lengthscales: np.ndarray):
+    """Cholesky factor of K(X, X) + diag(noise) and the jitter it needed; the
+    ladder resets only the diagonal between rungs."""
+    C = _kernel_matrix(process_variance, lengthscales, X)
+    diag = C.reshape(-1)[:: C.shape[0] + 1]  # strided view of the diagonal
+    diag += noise
+    base = diag.copy()
+    for step in _JITTER_STEPS:
+        jitter = process_variance * 1e-8 * step
+        np.add(base, jitter, out=diag)
         try:
-            return cho_factor(C + total * eye, lower=True, check_finite=False), total
+            return cho_factor(C, lower=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
             continue
-    raise GpFitError(
-        "covariance matrix is not positive definite even with maximal jitter; "
-        "check for near-duplicate locations or pass a larger KernelParams.jitter"
-    )
+    raise GpFitError("covariance matrix is not positive definite even with maximal "
+                     "jitter; check for near-duplicate locations")
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +225,9 @@ def _factorize(C: np.ndarray, process_variance: float, jitter: float):
 # ---------------------------------------------------------------------------
 
 
-def _profiled_loglik(X, y, noise, params: KernelParams) -> float:
+def _profiled_loglik(X, y, noise, process_variance: float, lengthscales: np.ndarray) -> float:
     S = y.size
-    C = _kernel_matrix(params, X) + np.diag(noise)
-    cho, _ = _factorize(C, params.process_variance, params.jitter)
+    cho, _ = _gram_cholesky(X, noise, process_variance, lengthscales)
     rhs = np.empty((S, 2))
     rhs[:, 0] = 1.0
     rhs[:, 1] = y
@@ -262,10 +246,13 @@ def log_marginal_likelihood(dataset: GpDataset, params: KernelParams) -> float:
     flat prior; the noise diagonal is taken from the dataset."""
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
-    return _profiled_loglik(dataset.locations(), dataset.means(), dataset.variances(), params)
+    return _profiled_loglik(dataset.locations(), dataset.means(), dataset.variances(),
+                            params.process_variance, params.lengthscales)
 
 
 def _default_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
+    """Search box for (process_variance, lengthscale_1, ..., lengthscale_v),
+    around the response variance and the per-coordinate location ranges."""
     vy = float(np.var(y))
     if vy <= 0.0:
         vy = 1.0
@@ -280,21 +267,17 @@ def _default_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
 
 def fit_hyperparameters(
     dataset: GpDataset,
-    bounds: Sequence[tuple[float, float]] | None = None,
     restarts: int = 8,
     rng=None,
     warm_start: KernelParams | None = None,
 ) -> KernelParams:
-    """Maximum-likelihood kernel hyperparameters via multi-start Nelder-Mead.
+    """Maximum-likelihood kernel hyperparameters via multi-start Nelder-Mead
+    over the box of ``_default_bounds``.
 
     Parameters
     ----------
     dataset : GpDataset
         At least two observations; noise variances are held fixed.
-    bounds : sequence of (low, high), optional
-        Search box for (process_variance, lengthscale_1, ..., lengthscale_v).
-        Defaults to a data-driven box around the response variance and the
-        per-coordinate location ranges.
     restarts : int
         Number of local searches; after any warm start, one begins at the box
         center and the rest at points drawn from ``rng``.
@@ -312,15 +295,11 @@ def fit_hyperparameters(
         raise ValueError("hyperparameter estimation needs at least 2 observations")
     rng = np.random.default_rng(rng if rng is not None else 0)
     X, y, noise = dataset.locations(), dataset.means(), dataset.variances()
-    box = list(bounds) if bounds is not None else _default_bounds(X, y)
-    if len(box) != 1 + X.shape[1]:
-        raise ValueError(f"bounds must have {1 + X.shape[1]} entries, got {len(box)}")
-    log_box = [(math.log(lo), math.log(hi)) for lo, hi in box]
+    log_box = [(math.log(lo), math.log(hi)) for lo, hi in _default_bounds(X, y)]
 
     def objective(theta: np.ndarray) -> float:
-        p = KernelParams(math.exp(theta[0]), np.exp(theta[1:]))
         try:
-            return -_profiled_loglik(X, y, noise, p)
+            return -_profiled_loglik(X, y, noise, math.exp(theta[0]), np.exp(theta[1:]))
         except GpFitError:
             return np.inf
 
@@ -344,10 +323,8 @@ def fit_hyperparameters(
         if np.isfinite(res.fun) and res.fun < best_val:
             best_theta, best_val = res.x, res.fun
     if best_theta is None:
-        raise GpFitError(
-            "no positive-definite covariance found at any restart; "
-            "increase jitter or widen the parameter bounds"
-        )
+        raise GpFitError("no positive-definite covariance found at any restart; "
+                         "check for near-duplicate locations")
     return KernelParams(math.exp(best_theta[0]), np.exp(best_theta[1:]))
 
 
@@ -385,13 +362,12 @@ class GpEmulator:
         params: KernelParams,
         control_bounds: np.ndarray | None = None,
     ):
-        self.dataset = dataset
         self.params = params
         self._lb, self._span = _unit_box(control_bounds, dataset.dim)
         X = self.scale(dataset.locations())
         y = dataset.means()
-        C = _kernel_matrix(params, X) + np.diag(dataset.variances())
-        self._cho, self.jitter_used = _factorize(C, params.process_variance, params.jitter)
+        self._cho, self.jitter_used = _gram_cholesky(X, dataset.variances(), params.process_variance,
+                                                     params.lengthscales)
         ones = np.ones(len(dataset))
         self._Cinv_one = cho_solve(self._cho, ones, check_finite=False)
         self._one_Cinv_one = float(ones @ self._Cinv_one)
@@ -404,32 +380,20 @@ class GpEmulator:
         cls,
         dataset: GpDataset,
         control_bounds: np.ndarray | None = None,
-        bounds: Sequence[tuple[float, float]] | None = None,
         restarts: int = 8,
         rng=None,
         warm_start: KernelParams | None = None,
     ) -> "GpEmulator":
         """Estimate hyperparameters on (scaled) inputs and build the emulator."""
         lb, span = _unit_box(control_bounds, dataset.dim)
-        scaled = GpDataset(
-            [
-                NoisyObservation((o.location - lb) / span, o.mean, o.variance, o.replications)
-                for o in dataset
-            ]
-        )
-        params = fit_hyperparameters(
-            scaled, bounds=bounds, restarts=restarts, rng=rng, warm_start=warm_start
-        )
+        scaled = GpDataset([NoisyObservation((o.location - lb) / span, o.mean, o.variance,
+                                             o.replications) for o in dataset])
+        params = fit_hyperparameters(scaled, restarts=restarts, rng=rng, warm_start=warm_start)
         return cls(dataset, params, control_bounds=control_bounds)
 
     def scale(self, x: np.ndarray) -> np.ndarray:
         """Map control inputs to internal (unit-cube) coordinates."""
         return (np.asarray(x, dtype=float) - self._lb) / self._span
-
-    @property
-    def noise_diagonal(self) -> np.ndarray:
-        """Effective per-observation noise including any jitter applied."""
-        return self.dataset.variances() + self.jitter_used
 
     def posterior(self, x) -> tuple:
         """Posterior mean and variance of the latent objective at ``x``.
@@ -443,7 +407,7 @@ class GpEmulator:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         Xq = self.scale(np.atleast_2d(x))
-        k = _kernel_matrix(self.params, Xq, self._X)  # (n, S)
+        k = _kernel_matrix(self.params.process_variance, self.params.lengthscales, Xq, self._X)  # (n, S)
         mean = self.beta0 + k @ self._alpha
         Cinv_k = cho_solve(self._cho, k.T, check_finite=False)  # (S, n)
         quad = np.einsum("ij,ji->i", k, Cinv_k)

@@ -88,10 +88,9 @@ class McBatch:
     means: np.ndarray
     variances: np.ndarray
     n: int
-    raw: np.ndarray | None = None  # (n_objectives, n) draws, test harness only
 
 
-def mc_aggregate(draws, keep_raw: bool = False) -> McBatch:
+def mc_aggregate(draws) -> McBatch:
     """Aggregate per-objective simulator draws into mean and plug-in variance.
 
     The stored variance is the unbiased sample variance divided by the batch
@@ -103,7 +102,7 @@ def mc_aggregate(draws, keep_raw: bool = False) -> McBatch:
         raise ValueError("variance is undefined for fewer than 2 draws")
     means = draws.mean(axis=1)
     variances = draws.var(axis=1, ddof=1) / n
-    return McBatch(means, variances, n, raw=draws.copy() if keep_raw else None)
+    return McBatch(means, variances, n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ class ProblemSpec:
     def dim(self) -> int:
         return self.control_bounds.shape[0]
 
-    def evaluate_mc(self, xc, n: int, rng, keep_raw: bool = False, draws=None) -> McBatch:
+    def evaluate_mc(self, xc, n: int, rng, draws=None) -> McBatch:
         """Run the simulator at ``xc`` over ``n`` environmental draws and
         aggregate into a Monte Carlo batch. The draws are sampled fresh from
         ``rng`` unless given (a batch shared by several points). The evaluator
@@ -217,7 +216,7 @@ class ProblemSpec:
             raise ValueError(f"evaluator returned shape {values.shape}, expected ({n}, 2)")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"evaluator returned non-finite values at control point {xc}")
-        return mc_aggregate(values.T, keep_raw=keep_raw)
+        return mc_aggregate(values.T)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,9 @@ class TestCmdRun:
         ({"beta": 0.7, "n_mc": 8, "n_iter": 2, "mode_schedule": [["aggressive"]]}, None, "mode_schedule"),
         ([{"beta": 0.7, "n_mc": 8, "n_iter": 2}], None, "config"),
         ({"beta": 0.7, "n_mc": 8, "n_iter": 2}, "abc", "MOEEQI_SEED"),
+        ({"beta": 0.7, "n_mc": 8, "n_iter": 2, "refit_hyperparameters": "false"}, None,
+         "refit_hyperparameters"),
+        ({"beta": 0.7, "n_mc": 2.7, "n_iter": 2}, None, "n_mc"),
     ])
     def test_invalid_config_value_exits_2_naming_the_field(
         self, tmp_path, capsys, monkeypatch, doc, env_seed, field
@@ -285,6 +288,7 @@ class TestCmdStudy:
     @pytest.mark.parametrize("overrides, field", [
         ({"study_betas": 0.7}, "study_betas"),
         ({"truth_resolution": 1}, "truth_resolution"),
+        ({"study_betas": [1.5]}, "study_betas"),
     ])
     def test_invalid_study_field_exits_2_before_the_truth_front(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "study"

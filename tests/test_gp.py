@@ -18,7 +18,7 @@ from moeeqi.gp import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from moeeqi.gp import _factorize, _kernel_matrix
+from moeeqi.gp import _gram_cholesky, _kernel_matrix
 
 from _oracles import kernel_eval
 
@@ -86,12 +86,13 @@ class TestKernelEval:
 
     def test_zero_distance_gives_process_variance(self):
         params = KernelParams(1.0, [1.0, 1.0])
-        assert _kernel_matrix(params, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == 1.0
+        assert _kernel_matrix(params.process_variance, params.lengthscales, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == 1.0
         assert kernel_eval(params, [0.0, 0.0], [0.0, 0.0]) == 1.0
 
     def test_analytic_value(self):
         params = KernelParams(2.0, [1.0, 1.0])
-        val = _kernel_matrix(params, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))[0, 0]
+        pv, ls = params.process_variance, params.lengthscales
+        val = _kernel_matrix(pv, ls, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))[0, 0]
         assert abs(val - 2.0 * math.exp(-0.5)) < 1e-12
         assert abs(kernel_eval(params, [0.0, 0.0], [1.0, 0.0]) - 2.0 * math.exp(-0.5)) < 1e-12
 
@@ -101,7 +102,8 @@ class TestKernelEval:
             v = rng.integers(1, 5)
             params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=v))
             X, Y = rng.normal(size=(4, v)), rng.normal(size=(3, v))
-            K = _kernel_matrix(params, X, Y)
+            pv, ls = params.process_variance, params.lengthscales
+            K = _kernel_matrix(pv, ls, X, Y)
             assert K.shape == (4, 3)
             for i, x in enumerate(X):
                 for j, y in enumerate(Y):
@@ -111,7 +113,7 @@ class TestKernelEval:
                     assert abs(kernel_eval(params, x, y) - expected) < 1e-12
                     assert kernel_eval(params, x, y) == kernel_eval(params, y, x)
                     assert abs(K[i, j] - kernel_eval(params, x, y)) < 1e-12
-            assert np.allclose(_kernel_matrix(params, X), _kernel_matrix(params, X).T, rtol=0, atol=1e-12)
+            assert np.allclose(_kernel_matrix(pv, ls, X), _kernel_matrix(pv, ls, X).T, rtol=0, atol=1e-12)
 
 
 def test_kernel_params_validation():
@@ -119,8 +121,6 @@ def test_kernel_params_validation():
         KernelParams(0.0, [1.0])
     with pytest.raises(ValueError):
         KernelParams(1.0, [1.0, -1.0])
-    with pytest.raises(ValueError):
-        KernelParams(1.0, [1.0], jitter=-1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ class TestPosterior:
         params = KernelParams(1.5, [0.3, 0.3])
         em = GpEmulator(ds, params)
         m, v = em.posterior(np.array([50.0, 50.0]))  # far beyond 20 lengthscales
-        C = _kernel_matrix(params, ds.locations()) + np.diag(ds.variances())
+        C = _kernel_matrix(params.process_variance, params.lengthscales, ds.locations()) + np.diag(ds.variances())
         mean_term = 1.0 / (np.ones(5) @ np.linalg.solve(C, np.ones(5)))
         assert abs(m - em.beta0) < 1e-6
         assert abs(v - (params.process_variance + mean_term)) < 1e-6
@@ -312,7 +312,7 @@ class TestFit:
         rng = np.random.default_rng(15)
         true = KernelParams(1.0, [0.3])
         X = rng.uniform(size=(30, 1))
-        K = _kernel_matrix(true, X) + 1e-8 * np.eye(30)
+        K = _kernel_matrix(true.process_variance, true.lengthscales, X) + 1e-8 * np.eye(30)
         y = np.linalg.cholesky(K) @ rng.normal(size=30)
         ds = GpDataset([NoisyObservation(X[j], y[j], 1e-6) for j in range(30)])
         fitted = fit_hyperparameters(ds, restarts=6, rng=0)
@@ -343,9 +343,9 @@ class TestFit:
 
 
 def test_factorize_raises_on_indefinite_matrix():
-    C = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    # K = [[1, e^-1/2], [e^-1/2, 1]]; the noise diagonal -1 leaves eigenvalues +-e^-1/2
     with pytest.raises(GpFitError):
-        _factorize(C, process_variance=1.0, jitter=0.0)
+        _gram_cholesky(np.array([[0.0], [1.0]]), np.array([-1.0, -1.0]), 1.0, np.array([1.0]))
 
 
 def test_factorize_clean_matrix_uses_no_jitter():
@@ -353,3 +353,29 @@ def test_factorize_clean_matrix_uses_no_jitter():
     ds = _dataset(rng, 5, 2)
     em = GpEmulator(ds, KernelParams(1.0, [0.5, 0.5]))
     assert em.jitter_used == 0.0
+
+
+_LADDER_PV = 1.7
+_RUNGS = [_LADDER_PV * 1e-8 * 10.0**k for k in range(5)]
+
+
+def test_near_duplicate_locations_take_a_ladder_rung():
+    X = np.array([[0.0, 0.0], [1e-9, 0.0], [0.7, 0.6], [0.4, 0.9]])
+    ds = GpDataset([NoisyObservation(x, float(np.sum(x)), 0.0) for x in X])
+    em = GpEmulator(ds, KernelParams(_LADDER_PV, [0.5, 0.5]))
+    assert em.jitter_used > 0.0
+    assert em.jitter_used in _RUNGS
+    m, v = em.posterior(np.random.default_rng(19).uniform(size=(20, 2)))
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(v))
+
+
+def test_ladder_resets_the_diagonal_between_rungs():
+    # Far-apart points make K = 1.7 I exactly; the noise leaves the diagonal at
+    # about -1e-7, which the rung 1.7e-8 does not lift and the rung 1.7e-7 does.
+    X = np.array([[0.0], [100.0], [200.0]])
+    noise = np.full(3, -_LADDER_PV - 1e-7)
+    (L, _), jitter = _gram_cholesky(X, noise, _LADDER_PV, np.array([1.0]))
+    assert jitter == _RUNGS[1]
+    L = np.tril(L)
+    expected = np.diag(_LADDER_PV + noise + jitter)
+    assert np.max(np.abs(L @ L.T - expected)) < 1e-20

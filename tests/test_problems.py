@@ -93,10 +93,6 @@ class TestMcAggregate:
         with pytest.raises(ValueError):
             mc_aggregate([[1.0]])
 
-    def test_raw_retained_only_on_request(self):
-        assert mc_aggregate([[0.0, 1.0]]).raw is None
-        assert mc_aggregate([[0.0, 1.0]], keep_raw=True).raw.shape == (1, 2)
-
 
 # ---------------------------------------------------------------------------
 # Benchmark objectives and ground truth

@@ -1,5 +1,5 @@
-"""Property tests: invariants of front construction and front metrics,
-checked on generated inputs against the per-point oracles."""
+"""Property tests: invariants of front construction, front metrics and the
+GP likelihood, checked on generated inputs against independent references."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_force_front, front_metrics_reference
+from moeeqi.gp import GpDataset, KernelParams, NoisyObservation, log_marginal_likelihood
 from moeeqi.optimizer import front_metrics
 from moeeqi.pareto import FrontPoint, build_front
 
@@ -60,3 +61,32 @@ def test_front_metrics_equals_the_per_point_reference(truth_pairs, front_pairs, 
         return
     assert got[0] == want[0]
     assert got[1] == want[1]
+
+
+def _dense_profiled_loglik(X, y, noise, params):
+    """Restricted log-likelihood from a dense inverse and slogdet of
+    C = K + diag(noise), with the constant trend profiled out."""
+    diff = (X[:, None, :] - X[None, :, :]) / params.lengthscales
+    C = params.process_variance * np.exp(-0.5 * np.sum(diff**2, axis=2)) + np.diag(noise)
+    Cinv = np.linalg.inv(C)
+    one = np.ones(len(y))
+    denom = one @ Cinv @ one
+    r = y - (one @ Cinv @ y) / denom
+    sign, logdet = np.linalg.slogdet(C)
+    assert sign > 0
+    return -0.5 * (r @ Cinv @ r + logdet + math.log(denom) + (len(y) - 1) * math.log(2 * math.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 10))
+def test_log_marginal_likelihood_equals_the_dense_reference(seed, dim, size):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 2.0, size=(size, dim))
+    y = rng.normal(scale=rng.uniform(0.1, 3.0), size=size)
+    params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=dim))
+    # a noise floor keeps C well conditioned, so no jitter is applied
+    noise = params.process_variance * rng.uniform(0.01, 0.5, size=size)
+    ds = GpDataset([NoisyObservation(X[j], y[j], noise[j]) for j in range(size)])
+    got = log_marginal_likelihood(ds, params)
+    want = _dense_profiled_loglik(X, y, noise, params)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
