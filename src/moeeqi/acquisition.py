@@ -133,7 +133,8 @@ def merge_replicate(
     cumulative sums, matching the variance of the concatenated raw sample
     divided by the total draw count. If that recomputed variance fails to
     shrink (a sampling fluke), the batch is instead treated as an independent
-    estimate and pooled by precision weighting, which always contracts.
+    estimate and pooled by precision weighting. The stored variance never
+    exceeds ``old.variance``.
     """
     if n < 2:
         raise ValueError("batch size must be at least 2 for a defined variance")
@@ -163,7 +164,8 @@ def merge_replicate(
             w_old = 1.0 / old.variance
             w_new = 1.0 / new_batch_var
             pooled_mean = (w_old * old.mean + w_new * new_batch_mean) / (w_old + w_new)
-            pooled_var = 1.0 / (w_old + w_new)
+            # 1 / (w_old + w_new) can round one ulp above old.variance.
+            pooled_var = min(1.0 / (w_old + w_new), old.variance)
 
     return NoisyObservation(
         location=old.location,

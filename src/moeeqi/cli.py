@@ -14,15 +14,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run
+from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run, whole_number
 from .pareto import ParetoFront
-from .problems import ProblemSchemaError, load_problem, oracle_front
+from .problems import ProblemSchemaError, load_problem, oracle_front, read_field
 
 _PENALTY_FACTORS = (5.0, 10.0)
 
@@ -31,36 +31,13 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ProblemSchemaError(f"missing field '{key}'")
-    return doc[key]
-
-
-def _cast(value, cast, field: str):
-    """``cast(value)``; a failure is a schema error naming the field."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ProblemSchemaError(f"invalid value {value!r} for '{field}': {exc}") from exc
-
-
-def _whole(value) -> int:
-    """``int(value)``, refusing a boolean and a number that ``int`` would truncate."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError("expected a whole number")
-    return int(value)
-
-
-def _json_bool(value) -> bool:
-    """A JSON ``true`` or ``false``; no other value is read as a boolean."""
-    if not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    return value
-
-
 def load_config(source) -> tuple[RunConfig, dict]:
-    """Parse a config document into a RunConfig plus study-level options."""
+    """Parse a config document into a RunConfig plus study-level options.
+
+    RunConfig checks the values; this adds only what is particular to JSON:
+    a null field takes its default, ``fixed_coords`` keys are strings, and a
+    key that is not a RunConfig field is an error rather than ignored.
+    """
     if isinstance(source, dict):
         doc = dict(source)
     else:
@@ -70,46 +47,35 @@ def load_config(source) -> tuple[RunConfig, dict]:
             raise ProblemSchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemSchemaError(f"config must be a JSON object, got {type(doc).__name__}")
-    betas = doc.pop("study_betas", None)
-    study = {
-        "study_betas": None if betas is None else _cast(
-            betas, lambda bs: [float(b) for b in bs], "study_betas"),
-        "truth_resolution": _cast(doc.pop("truth_resolution", 500), _whole, "truth_resolution"),
-    }
-    if study["truth_resolution"] < 2:
-        raise ProblemSchemaError("field 'truth_resolution' must be at least 2")
-    kwargs = {key: _cast(_require(doc, key), cast, key)
-              for key, cast in [("beta", float), ("n_mc", _whole), ("n_iter", _whole)]}
-    for key, cast in [
-        ("grid_resolution", _whole),
-        ("initial_design_size", _whole),
-        ("seed", _whole),
-        ("comparator", str),
-        ("refit_hyperparameters", _json_bool),
-        ("literal_constraint_formula", _json_bool),
-        ("fit_restarts", _whole),
-        ("min_score", float),
-        ("mode_schedule", lambda entries: tuple((str(m), _whole(c)) for m, c in entries)),
-        ("fixed_coords", lambda fixed: {int(k): float(v) for k, v in dict(fixed).items()}),
-    ]:
-        if doc.get(key) is not None:
-            kwargs[key] = _cast(doc[key], cast, key)
+    doc = {key: value for key, value in doc.items() if value is not None}
+    study = {"study_betas": doc.pop("study_betas", None),
+             "truth_resolution": doc.pop("truth_resolution", 500)}
+    names = {f.name for f in fields(RunConfig)}
+    unknown = [repr(key) for key in doc if key not in names]
+    if unknown:
+        raise ProblemSchemaError(f"unknown config field {', '.join(unknown)}")
+    for key in ("beta", "n_mc", "n_iter"):
+        read_field(doc, key)
+    if "fixed_coords" in doc:
+        doc["fixed_coords"] = read_field(doc, "fixed_coords", lambda fixed: {
+            int(k) if isinstance(k, str) else k: v for k, v in dict(fixed).items()})
     try:
-        config = RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        config = RunConfig(**doc)
+    except ValueError as exc:
         raise ProblemSchemaError(f"invalid config: {exc}") from exc
+    # Each study beta goes through RunConfig's own check.
+    read_field(study, "study_betas", lambda betas: [replace(config, beta=b) for b in betas], default=None)
+    study["truth_resolution"] = read_field(
+        study, "truth_resolution", lambda r: whole_number(r, "truth_resolution", 2))
     return config, study
 
 
 def _resolve_seed(config: RunConfig, cli_seed) -> RunConfig:
-    seed = config.seed
-    env_seed = os.environ.get("MOEEQI_SEED")
-    if env_seed is not None:
-        seed = _cast(env_seed, int, "MOEEQI_SEED")
-    if cli_seed is not None:
-        seed = int(cli_seed)
-    config.seed = seed
-    return config
+    seed = read_field(dict(os.environ), "MOEEQI_SEED", int, default=config.seed)
+    try:
+        return replace(config, seed=seed if cli_seed is None else cli_seed)
+    except ValueError as exc:
+        raise ProblemSchemaError(f"invalid seed: {exc}") from exc
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -211,13 +177,9 @@ def cmd_oracle(args) -> int:
 
 
 def _study_variants(config: RunConfig, study: dict) -> list:
-    """(comparator, beta, RunConfig) per study variant; a beta that RunConfig
-    rejects is a schema error naming ``study_betas``."""
-    betas = study["study_betas"] or [config.beta]
-    try:
-        variants = [("moeeqi", b, replace(config, beta=b, comparator="moeeqi")) for b in betas]
-    except ValueError as exc:
-        raise ProblemSchemaError(f"invalid value for 'study_betas': {exc}") from exc
+    """(comparator, beta, RunConfig) per study variant."""
+    variants = [("moeeqi", b, replace(config, beta=b, comparator="moeeqi"))
+                for b in study["study_betas"] or [config.beta]]
     variants.append(("moeei", 0.5, replace(config, beta=0.5, comparator="moeei")))
     return variants
 
@@ -229,7 +191,7 @@ def cmd_study(args) -> int:
     if args.replicates < 1:
         raise ProblemSchemaError("field 'replicates' must be at least 1")
     pinned_bounds(problem, config.fixed_coords)  # fail before the truth front, not per replicate
-    variants = _study_variants(config, study)  # likewise
+    variants = _study_variants(config, study)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     truth = oracle_front(problem, study["truth_resolution"])

@@ -12,6 +12,7 @@ benchmarking, as are distance-to-truth metrics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +43,34 @@ __all__ = [
 ]
 
 _COMPARATORS = ("moeeqi", "moeei")
+_FIT_RESTARTS = 3  # Nelder-Mead restarts of a warm-started refit
+
+
+def whole_number(value, name: str, minimum: int = None) -> int:
+    """``value`` as an int: a whole number (``2.0`` reads as 2) that is not a
+    boolean and is at least ``minimum``; otherwise a ValueError naming ``name``."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real_number(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass
 class RunConfig:
-    """Settings for one optimization run; see README for field meanings."""
+    """Settings for one optimization run; see README for field meanings.
+
+    Construction checks every field's type and range and raises a ValueError
+    that names the field; whole-number fields store a whole float as an int.
+    """
 
     beta: float = 0.7
     n_mc: int = 10
@@ -58,33 +82,39 @@ class RunConfig:
     comparator: str = "moeeqi"
     refit_hyperparameters: bool = True
     literal_constraint_formula: bool = False
-    fit_restarts: int = 3
     min_score: float = None  # optional early-stop threshold on the best score
     fixed_coords: dict = None  # {coordinate index: frozen value}
 
     def __post_init__(self):
-        if not 0.5 <= self.beta < 1.0:
+        if not 0.5 <= _real_number(self.beta, "beta") < 1.0:
             raise ValueError(f"beta must lie in [0.5, 1), got {self.beta}")
-        if self.n_mc < 2:
-            raise ValueError("n_mc must be at least 2")
-        if self.n_iter < 0:
-            raise ValueError("n_iter must be non-negative")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be at least 2")
-        if self.initial_design_size < 2:
-            raise ValueError("initial_design_size must be at least 2")
+        for name, minimum in [("n_mc", 2), ("n_iter", 0), ("grid_resolution", 2),
+                              ("initial_design_size", 2), ("seed", 0)]:
+            setattr(self, name, whole_number(getattr(self, name), name, minimum))
         if self.comparator not in _COMPARATORS:
-            raise ValueError(f"comparator must be one of {_COMPARATORS}")
+            raise ValueError(f"comparator must be one of {_COMPARATORS}, got {self.comparator!r}")
+        for name in ("refit_hyperparameters", "literal_constraint_formula"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if self.min_score is not None:
+            _real_number(self.min_score, "min_score")
         if self.mode_schedule is None:
             self.mode_schedule = ((ImprovementMode.AGGRESSIVE, self.n_iter),)
-        schedule = []
-        for mode, count in self.mode_schedule:
-            if isinstance(mode, str):
-                mode = ImprovementMode(mode)
-            schedule.append((mode, int(count)))
-        self.mode_schedule = tuple(schedule)
+        try:
+            self.mode_schedule = tuple(
+                (ImprovementMode(mode), whole_number(count, "count", 0))
+                for mode, count in self.mode_schedule
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"mode_schedule must hold (mode, count) pairs: {exc}") from exc
         if sum(c for _, c in self.mode_schedule) != self.n_iter:
-            raise ValueError("mode schedule counts must sum to n_iter")
+            raise ValueError("mode_schedule counts must sum to n_iter")
+        if self.fixed_coords is not None:
+            try:
+                self.fixed_coords = {whole_number(k, "coordinate"): _real_number(v, "value")
+                                     for k, v in dict(self.fixed_coords).items()}
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"fixed_coords must map coordinates to values: {exc}") from exc
 
     def iteration_modes(self) -> list:
         modes = []
@@ -142,7 +172,7 @@ def _design_front(state: "RunState", beta: float, sigma2_future) -> ParetoFront:
     """Front of current-emulator quantiles at the design locations, with the
     noise-adjusted constraint filter applied."""
     locations = state.datasets[0].locations()
-    z = float(std_normal_quantile(beta)) if beta > 0.5 else 0.0
+    z = float(std_normal_quantile(beta))
     quantiles = np.empty((locations.shape[0], 2))
     adj_sd = np.empty_like(quantiles)
     for i, em in enumerate(state.emulators):
@@ -228,7 +258,7 @@ def pinned_bounds(problem: ProblemSpec, fixed_coords) -> np.ndarray:
 
 def _fit_emulators(datasets, problem, config, rng, warm=None):
     # Cold fits get extra restarts; warm-started refits converge quickly.
-    restarts = config.fit_restarts if warm else config.fit_restarts + 2
+    restarts = _FIT_RESTARTS if warm else _FIT_RESTARTS + 2
     emulators = []
     for i, ds in enumerate(datasets):
         seed = int(rng.integers(2**31 - 1))

@@ -120,7 +120,7 @@ def feasible_mask(
     keep = np.ones(q.shape[0], dtype=bool)
     if constraints is None or not constraints.active:
         return keep
-    z = float(std_normal_quantile(beta)) if beta > 0.5 else 0.0
+    z = float(std_normal_quantile(beta))
     if noise_sd is None:
         sd = np.zeros_like(q)
     else:
@@ -204,30 +204,25 @@ def _improvement_terms(front: ParetoFront, mu1, sd1, mu2, sd2, mode: Improvement
     )
     t = front.q1s()
     z = front.q2s()
-    m = len(front)
-    aggressive = mode is ImprovementMode.AGGRESSIVE
+    # Strip j spans (edges[j], edges[j + 1]) in q1 and lies below tops[j] in q2.
+    edges = np.r_[-np.inf, t, np.inf]
+    tops = np.r_[np.inf, z[1:] if mode is ImprovementMode.AGGRESSIVE else z[:-1], z[-1]]
 
     mass = np.zeros_like(mu1)
     num1 = np.zeros_like(mu1)
     num2 = np.zeros_like(mu1)
-    for j in range(m + 1):
-        a1 = -np.inf if j == 0 else t[j - 1]
-        b1 = t[j] if j < m else np.inf
-        if j == 0:
-            top = np.inf
-        elif j == m:
-            top = z[m - 1]
-        else:
-            top = z[j] if aggressive else z[j - 1]
-        cdf_b = _cdf_mass(b1, mu1, sd1)
-        cdf_a = _cdf_mass(a1, mu1, sd1)
+    # Each strip's right edge is the next one's left edge: evaluate it once.
+    cdf_a, pdf_a = _cdf_mass(edges[0], mu1, sd1), _pdf_term(edges[0], mu1, sd1)
+    for b1, top in zip(edges[1:], tops):
+        cdf_b, pdf_b = _cdf_mass(b1, mu1, sd1), _pdf_term(b1, mu1, sd1)
         mass1 = cdf_b - cdf_a
-        mom1 = mu1 * mass1 - (_pdf_term(b1, mu1, sd1) - _pdf_term(a1, mu1, sd1))
+        mom1 = mu1 * mass1 - (pdf_b - pdf_a)
         mass2 = _cdf_mass(top, mu2, sd2)
         mom2 = mu2 * mass2 - _pdf_term(top, mu2, sd2)
         mass += mass1 * mass2
         num1 += mom1 * mass2
         num2 += mass1 * mom2
+        cdf_a, pdf_a = cdf_b, pdf_b
     return mass, num1, num2
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -87,7 +87,6 @@ class McBatch:
 
     means: np.ndarray
     variances: np.ndarray
-    n: int
 
 
 def mc_aggregate(draws) -> McBatch:
@@ -102,7 +101,7 @@ def mc_aggregate(draws) -> McBatch:
         raise ValueError("variance is undefined for fewer than 2 draws")
     means = draws.mean(axis=1)
     variances = draws.var(axis=1, ddof=1) / n
-    return McBatch(means, variances, n)
+    return McBatch(means, variances)
 
 
 # ---------------------------------------------------------------------------
@@ -366,49 +365,58 @@ class ProblemSchemaError(ValueError):
     """A problem or config document failed validation; message names the field."""
 
 
-def _require(doc: dict, key: str, where: str):
+_REQUIRED = object()
+
+
+def read_field(doc, key: str, parse=None, where: str = "", default=_REQUIRED):
+    """``parse(doc[key])``, or ``doc[key]`` without ``parse``, for the field
+    ``where + key`` of a JSON object; an absent or null field gives
+    ``default`` when one is passed. A document that is not an object, a
+    missing field, or a TypeError or ValueError from ``parse`` is a
+    ProblemSchemaError that names the field path."""
+    path = f"{where}{key}"
+    if not isinstance(doc, dict):
+        raise ProblemSchemaError(
+            f"'{where.rstrip('.') or 'document'}' must be a JSON object, got {type(doc).__name__}")
+    if doc.get(key) is None and default is not _REQUIRED:
+        return default
     if key not in doc:
-        raise ProblemSchemaError(f"missing field '{where}{key}'")
-    return doc[key]
+        raise ProblemSchemaError(f"missing field '{path}'")
+    try:
+        return doc[key] if parse is None else parse(doc[key])
+    except ProblemSchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ProblemSchemaError(f"invalid value {doc[key]!r} for '{path}': {exc}") from exc
 
 
-def _parse_env(entries, where: str):
+_DISTRIBUTIONS = {"uniform": (Uniform, "lo", "hi"), "normal": (Normal, "mu", "sd")}
+
+
+def _parse_env(entries) -> tuple:
     dists = []
     for i, entry in enumerate(entries):
-        path = f"{where}[{i}]."
-        kind = _require(entry, "type", path)
-        try:
-            if kind == "uniform":
-                dists.append(Uniform(float(_require(entry, "lo", path)), float(_require(entry, "hi", path))))
-            elif kind == "normal":
-                dists.append(Normal(float(_require(entry, "mu", path)), float(_require(entry, "sd", path))))
-            else:
-                raise ProblemSchemaError(f"field '{path}type' must be 'uniform' or 'normal', got {kind!r}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ProblemSchemaError):
-                raise
-            raise ProblemSchemaError(f"invalid distribution at '{where}[{i}]': {exc}") from exc
+        where = f"env[{i}]."
+        kind = read_field(entry, "type", where=where)
+        if kind not in _DISTRIBUTIONS:
+            raise ProblemSchemaError(f"field '{where}type' must be 'uniform' or 'normal', got {kind!r}")
+        dist, first, second = _DISTRIBUTIONS[kind]
+        p = read_field(entry, first, float, where)
+        dists.append(read_field(entry, second, lambda q: dist(p, float(q)), where))
     return tuple(dists)
 
 
-def _parse_constraints(doc, where: str) -> ConstraintSpec:
-    bounds = _require(doc, "upper_bounds", where)
+def _parse_upper_bounds(bounds) -> ConstraintSpec:
     if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-        raise ProblemSchemaError(f"field '{where}upper_bounds' must be a list of two entries")
+        raise ValueError("expected a list of two entries")
     return ConstraintSpec(tuple(None if b is None else float(b) for b in bounds))
 
 
-def _parse_cost_params(doc, where: str) -> CostParams:
-    keys = (
-        "dose_cost", "doses_per_person", "wastage", "population", "horizon_years",
-        "shelf_life_years", "center_setup_cost", "staff_admin_cost", "centers", "staff",
-    )
-    try:
-        return CostParams(**{k: float(_require(doc, k, where)) for k in keys})
-    except ValueError as exc:
-        if isinstance(exc, ProblemSchemaError):
-            raise
-        raise ProblemSchemaError(f"invalid cost parameters at '{where.rstrip('.')}': {exc}") from exc
+def _parse_control_bounds(bounds) -> np.ndarray:
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (2, 2) or not np.all(np.isfinite(bounds)) or np.any(bounds[:, 0] >= bounds[:, 1]):
+        raise ValueError("expected two finite [lb, ub] pairs with lb < ub")
+    return bounds
 
 
 def _is_path(source) -> bool:
@@ -433,21 +441,23 @@ def load_problem(source) -> ProblemSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ProblemSchemaError(f"problem document is not valid JSON: {exc}") from exc
-    kind = _require(doc, "problem", "")
+    kind = read_field(doc, "problem")
     if kind != "toy":
         raise ProblemSchemaError(f"field 'problem' must be 'toy', got {kind!r}")
-    a = float(_require(doc, "a", ""))
-    env = _parse_env(doc["env"], "env") if "env" in doc else None
-    constraints = _parse_constraints(doc["constraints"], "constraints.") if doc.get("constraints") else None
-    control_bounds = None
-    if "control_bounds" in doc:
-        control_bounds = np.asarray(doc["control_bounds"], dtype=float)
-        if control_bounds.shape != (2, 2) or np.any(control_bounds[:, 0] >= control_bounds[:, 1]):
-            raise ProblemSchemaError("field 'control_bounds' must be two finite [lb, ub] pairs with lb < ub")
-    try:
-        problem = toy_problem(a, constraints=constraints, env=env, control_bounds=control_bounds)
-    except ValueError as exc:
-        raise ProblemSchemaError(f"invalid problem parameters: {exc}") from exc
-    if doc.get("cost_params"):
-        problem.cost_params = _parse_cost_params(doc["cost_params"], "cost_params.")
+    env = read_field(doc, "env", _parse_env, default=None)
+    constraints = read_field(
+        doc, "constraints", lambda c: read_field(c, "upper_bounds", _parse_upper_bounds, "constraints."),
+        default=None,
+    )
+    control_bounds = read_field(doc, "control_bounds", _parse_control_bounds, default=None)
+    cost_params = read_field(
+        doc, "cost_params",
+        lambda c: CostParams(**{f.name: read_field(c, f.name, float, "cost_params.")
+                                for f in fields(CostParams)}),
+        default=None,
+    )
+    # The other parts are checked, so a ValueError here is about ``a``.
+    problem = read_field(doc, "a", lambda a: toy_problem(
+        float(a), constraints=constraints, env=env, control_bounds=control_bounds))
+    problem.cost_params = cost_params
     return problem

@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
-from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront
+from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront, _cdf_mass, _pdf_term
 
 
 def brute_force_front(points):
@@ -101,6 +101,23 @@ def _strips(front, mode):
             top = z[j] if aggressive else z[j - 1]
         out.append((a1, b1, top))
     return out
+
+
+def improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode):
+    """Strip-by-strip (mass, num1, num2) that evaluates both q1 edges of every
+    strip, in the accumulation order of ``pareto._improvement_terms``."""
+    mass = np.zeros_like(mu1)
+    num1 = np.zeros_like(mu1)
+    num2 = np.zeros_like(mu1)
+    for a1, b1, top in _strips(front, mode):
+        mass1 = _cdf_mass(b1, mu1, sd1) - _cdf_mass(a1, mu1, sd1)
+        mom1 = mu1 * mass1 - (_pdf_term(b1, mu1, sd1) - _pdf_term(a1, mu1, sd1))
+        mass2 = _cdf_mass(top, mu2, sd2)
+        mom2 = mu2 * mass2 - _pdf_term(top, mu2, sd2)
+        mass += mass1 * mass2
+        num1 += mom1 * mass2
+        num2 += mass1 * mom2
+    return mass, num1, num2
 
 
 def quadrature_improvement(front, qp1, qp2, mode, epsabs=1e-13, epsrel=1e-10):

@@ -159,6 +159,9 @@ class TestCmdRun:
         ({"beta": 0.7, "n_mc": 8, "n_iter": 2, "refit_hyperparameters": "false"}, None,
          "refit_hyperparameters"),
         ({"beta": 0.7, "n_mc": 2.7, "n_iter": 2}, None, "n_mc"),
+        ({"beta": 0.7, "n_mc": "10", "n_iter": 2}, None, "n_mc"),
+        ({"beta": 0.7, "n_mc": 8, "n_iter": 2}, "-1", "seed"),
+        ({"beta": 0.7, "n_mc": 8, "n_iter": 2, "grid_resolutoin": 300}, None, "grid_resolutoin"),
     ])
     def test_invalid_config_value_exits_2_naming_the_field(
         self, tmp_path, capsys, monkeypatch, doc, env_seed, field
@@ -168,6 +171,22 @@ class TestCmdRun:
         rc = main([
             "run", "--problem", _problem_file(tmp_path),
             "--config", _write_json(tmp_path / "config.json", doc), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, field", [
+        ({"a": "x"}, "'a'"),
+        ({"constraints": {"upper_bounds": ["x", None]}}, "'constraints.upper_bounds'"),
+        ({"control_bounds": [["a", 1], [0, 1]]}, "'control_bounds'"),
+        ({"env": 5}, "'env'"),
+        ({"env": [{"type": "normal", "mu": 0.0, "sd": -1.0}]}, "'env[0].sd'"),
+        ({"cost_params": {"dose_cost": 1}}, "'cost_params.doses_per_person'"),
+    ])
+    def test_invalid_problem_field_exits_2_naming_it(self, tmp_path, capsys, extra, field):
+        rc = main([
+            "run", "--problem", _problem_file(tmp_path, **extra),
+            "--config", _config_file(tmp_path), "--out", str(tmp_path / "out"),
         ])
         assert rc == 2
         assert field in capsys.readouterr().err
@@ -320,6 +339,13 @@ class TestLoadConfig:
         path = _config_file(tmp_path, n_iter=4, mode_schedule=[["aggressive", 1]])
         with pytest.raises(ProblemSchemaError):
             load_config(path)
+
+    def test_null_fields_take_their_defaults(self, tmp_path):
+        path = _config_file(tmp_path, seed=None, min_score=None, n_mc=10.0,
+                            study_betas=None, truth_resolution=None)
+        config, study = load_config(path)
+        assert (config.seed, config.min_score, config.n_mc) == (0, None, 10)
+        assert study == {"study_betas": None, "truth_resolution": 500}
 
     def test_study_fields_are_extracted(self, tmp_path):
         path = _config_file(tmp_path, study_betas=[0.6, 0.8], truth_resolution=123)

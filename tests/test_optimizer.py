@@ -84,6 +84,23 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(comparator="random")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_mc", 2.5), ("seed", 1.5), ("grid_resolution", 2.5), ("beta", "0.7"),
+        ("refit_hyperparameters", "false"), ("literal_constraint_formula", 1),
+        ("n_iter", True), ("min_score", "0.1"), ("seed", -1),
+        ("mode_schedule", (("aggressive", 10), ("non_aggressive", -1))),
+        ("fixed_coords", {0.5: 0.1}),
+    ])
+    def test_wrong_type_raises_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{"n_iter": 9, field: value})
+
+    def test_whole_floats_are_stored_as_ints(self):
+        config = RunConfig(n_mc=10.0, n_iter=4.0, seed=3.0, mode_schedule=[["aggressive", 4.0]])
+        assert (config.n_mc, config.n_iter, config.seed) == (10, 4, 3)
+        assert all(type(v) is int for v in (config.n_mc, config.n_iter, config.seed))
+        assert config.mode_schedule == ((AGG, 4),)
+
 
 # ---------------------------------------------------------------------------
 # The loop

@@ -1,16 +1,20 @@
-"""Property tests: invariants of front construction, front metrics and the
-GP likelihood, checked on generated inputs against independent references."""
+"""Property tests: invariants of front construction, front metrics, the
+improvement criterion, the GP likelihood, replicate pooling and config
+parsing, checked on generated inputs against independent references."""
 
+import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_front, front_metrics_reference
+from _oracles import brute_force_front, front_metrics_reference, improvement_terms_reference, random_front
+from moeeqi.acquisition import merge_replicate
+from moeeqi.cli import _config_echo, load_config
 from moeeqi.gp import GpDataset, KernelParams, NoisyObservation, log_marginal_likelihood
-from moeeqi.optimizer import front_metrics
-from moeeqi.pareto import FrontPoint, build_front
+from moeeqi.optimizer import RunConfig, front_metrics
+from moeeqi.pareto import FrontPoint, ImprovementMode, _improvement_terms, build_front
 
 # Small integers make ties in q1 and exact duplicates common.
 _values = st.lists(
@@ -90,3 +94,65 @@ def test_log_marginal_likelihood_equals_the_dense_reference(seed, dim, size):
     got = log_marginal_likelihood(ds, params)
     want = _dense_profiled_loglik(X, y, noise, params)
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from(list(ImprovementMode)))
+def test_improvement_terms_equal_the_two_edge_reference(seed, size, mode):
+    rng = np.random.default_rng(seed)
+    front = random_front(rng, size)
+    n = 60
+    mu1, mu2 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+    sd1, sd2 = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.5, n)
+    # degenerate candidates, and means exactly on a strip edge or top
+    sd1[:10] = 0.0
+    sd2[5:15] = 0.0
+    mu1[:20:2] = rng.choice(front.q1s(), 10)
+    mu2[1:20:2] = rng.choice(front.q2s(), 10)
+    got = _improvement_terms(front, mu1, sd1, mu2, sd2, mode)
+    want = improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-12, 1e12), st.integers(1, 5), st.floats(-1e3, 1e3),
+       st.floats(0.0, 1e12), st.integers(2, 50))
+@example(0.0, 1.9e-06, 1, 0.0, 1e12, 10)  # 1 / (w_old + w_new) rounds above 1.9e-06
+def test_merge_replicate_never_grows_the_variance(mean, var, reps, new_mean, new_var, n):
+    old = NoisyObservation(np.array([0.0]), mean, var, replications=reps)
+    assert merge_replicate(old, new_mean, new_var, n).variance <= var
+
+
+def _whole(lo, hi):
+    """Whole numbers, some given as floats such as 2.0."""
+    return st.integers(lo, hi) | st.integers(lo, hi).map(float)
+
+
+@st.composite
+def _configs(draw):
+    n_iter = draw(st.integers(0, 12))
+    split = draw(st.integers(0, n_iter))
+    modes = draw(st.permutations(["aggressive", "non_aggressive"]))
+    return RunConfig(
+        beta=draw(st.floats(0.5, 1.0, exclude_max=True)),
+        n_mc=draw(_whole(2, 50)),
+        n_iter=n_iter,
+        grid_resolution=draw(_whole(2, 400)),
+        initial_design_size=draw(_whole(2, 20)),
+        seed=draw(_whole(0, 2**40)),
+        mode_schedule=draw(st.sampled_from([None, [[modes[0], split], [modes[1], n_iter - split]]])),
+        comparator=draw(st.sampled_from(["moeeqi", "moeei"])),
+        refit_hyperparameters=draw(st.booleans()),
+        literal_constraint_formula=draw(st.booleans()),
+        min_score=draw(st.none() | st.floats(allow_nan=False)),
+        fixed_coords=draw(st.none() | st.dictionaries(
+            st.integers(0, 3), st.floats(-2.0, 2.0, allow_nan=False), max_size=3)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_load_config_reads_back_the_echo_of_a_config(config):
+    doc = json.loads(json.dumps(_config_echo(config)))
+    assert load_config(doc) == (config, {"study_betas": None, "truth_resolution": 500})

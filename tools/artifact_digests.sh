@@ -9,9 +9,11 @@
 # The configs: run on toy(a=0.5) for seeds 1-3, once with a mixed mode
 # schedule and once with a constraint; a constrained run with the literal
 # (variance) constraint formula; run with fixed_coords; run with the moeei
-# comparator and refit_hyperparameters false; a 2-replicate study; and oracle
-# at resolution 200 and at 500, the study default. The JSON files (wall
-# times) are not listed.
+# comparator and refit_hyperparameters false; run with a config that leans
+# on defaults and normalization (a whole float n_mc, null seed and
+# min_score, a list-form mode_schedule, no --seed); a 2-replicate study; and
+# oracle at resolution 200 and at 500, the study default. The JSON files
+# (wall times) are not listed.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/moeeqi" ]; then
@@ -52,6 +54,10 @@ cat >"$work/moeei.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
  "seed": 2, "comparator": "moeei", "refit_hyperparameters": false}
 JSON
+cat >"$work/defaults.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10.0, "n_iter": 5, "grid_resolution": 40, "initial_design_size": 5,
+ "seed": null, "min_score": null, "mode_schedule": [["non_aggressive", 2], ["aggressive", 3]]}
+JSON
 cat >"$work/study.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 30, "initial_design_size": 5,
  "seed": 3, "truth_resolution": 200}
@@ -68,6 +74,7 @@ cli run --problem "$work/toy_constrained.json" --config "$work/literal.json" \
     --out "$out/run_literal"
 cli run --problem "$work/toy.json" --config "$work/fixed.json" --out "$out/run_fixed"
 cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_moeei"
+cli run --problem "$work/toy.json" --config "$work/defaults.json" --out "$out/run_defaults"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
 cli oracle --problem "$work/toy.json" --resolution 200 --out "$out/oracle/front.csv"
