@@ -24,9 +24,6 @@ from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run, w
 from .pareto import ParetoFront
 from .problems import ProblemSchemaError, load_problem, oracle_front, read_field
 
-_PENALTY_FACTORS = (5.0, 10.0)
-
-
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -206,7 +203,7 @@ def cmd_study(args) -> int:
                 failures.append({"comparator": comparator, "beta": beta, "replicate": rep, "error": str(exc)})
                 continue
             for rec in state.history:
-                mean_dist, penalized, size = front_metrics(rec.front, truth, _PENALTY_FACTORS)
+                mean_dist, penalized, size = front_metrics(rec.front, truth)
                 rows.append(
                     [comparator, _fmt(beta), str(rep), str(rec.iteration), _fmt(mean_dist),
                      _fmt(penalized[5.0]), _fmt(penalized[10.0]), str(size), _fmt(rec.score)]

@@ -82,11 +82,6 @@ def as_point(x) -> np.ndarray:
     return pt
 
 
-def point_key(x) -> tuple:
-    """Hashable exact-match key for a control point (bitwise float equality)."""
-    return tuple(float(v) for v in np.atleast_1d(x))
-
-
 @dataclass(frozen=True)
 class KernelParams:
     """Squared-exponential kernel hyperparameters."""
@@ -125,22 +120,21 @@ class NoisyObservation:
 
 
 class GpDataset:
-    """Ordered collection of noisy observations for a single objective.
+    """Checked, immutable sequence of noisy observations for a single objective.
 
-    Locations must be pairwise distinct; repeated Monte Carlo batches at one
-    location are merged before insertion (see acquisition.merge_replicate).
+    Locations must be pairwise distinct under float equality; repeated Monte
+    Carlo batches at one location are merged before the dataset is built
+    (see acquisition.merge_replicate).
     """
 
     def __init__(self, observations: Sequence[NoisyObservation] = ()):
-        obs = list(observations)
+        obs = tuple(observations)
         dims = {o.location.size for o in obs}
         if len(dims) > 1:
             raise ValueError(f"inconsistent control dimensions in dataset: {sorted(dims)}")
-        keys = [point_key(o.location) for o in obs]
-        if len(set(keys)) != len(keys):
+        if len({tuple(o.location.tolist()) for o in obs}) != len(obs):
             raise ValueError("duplicate locations in dataset; merge replicates first")
         self._obs = obs
-        self._index = {k: i for i, k in enumerate(keys)}
 
     def __len__(self) -> int:
         return len(self._obs)
@@ -168,17 +162,8 @@ class GpDataset:
 
     def index_of(self, location) -> int | None:
         """Index of the observation at exactly this location, or None."""
-        return self._index.get(point_key(location))
-
-    def with_observation(self, obs: NoisyObservation) -> "GpDataset":
-        """New dataset with ``obs`` appended at a fresh location."""
-        return GpDataset(self._obs + [obs])
-
-    def with_replaced(self, index: int, obs: NoisyObservation) -> "GpDataset":
-        """New dataset with the observation at ``index`` swapped out."""
-        new = list(self._obs)
-        new[index] = obs
-        return GpDataset(new)
+        x = as_point(location)
+        return next((i for i, o in enumerate(self._obs) if np.array_equal(o.location, x)), None)
 
 
 # ---------------------------------------------------------------------------

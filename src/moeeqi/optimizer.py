@@ -319,19 +319,15 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
 
         batch = problem.evaluate_mc(point, config.n_mc, rng)
         existing = state.datasets[0].index_of(point)
-        if existing is None:
-            state.datasets = tuple(
-                ds.with_observation(NoisyObservation(point, batch.means[i], batch.variances[i]))
-                for i, ds in enumerate(state.datasets)
-            )
-        else:
-            state.datasets = tuple(
-                ds.with_replaced(
-                    existing,
-                    merge_replicate(ds[existing], batch.means[i], batch.variances[i], config.n_mc),
-                )
-                for i, ds in enumerate(state.datasets)
-            )
+        folded = []
+        for i, ds in enumerate(state.datasets):
+            obs = list(ds)
+            if existing is None:
+                obs.append(NoisyObservation(point, batch.means[i], batch.variances[i]))
+            else:
+                obs[existing] = merge_replicate(obs[existing], batch.means[i], batch.variances[i], config.n_mc)
+            folded.append(GpDataset(obs))
+        state.datasets = tuple(folded)
         if config.refit_hyperparameters:
             state.emulators = _fit_emulators(
                 state.datasets, problem, config, rng, warm=[em.params for em in state.emulators]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -77,7 +77,7 @@ def sample_environment(env: Sequence, n: int, rng) -> np.ndarray:
     variable; deterministic under a seeded generator."""
     if n < 1:
         raise ValueError("need at least one environmental draw")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     return np.column_stack([dist.sample(n, rng) for dist in env])
 
 
@@ -189,7 +189,6 @@ class ProblemSpec:
     control_bounds: np.ndarray
     constraints: ConstraintSpec | None = None
     truth: Callable | None = None
-    cost_params: "CostParams | None" = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -305,7 +304,11 @@ def _latin_hypercube(s: int, v: int, rng: np.random.Generator) -> np.ndarray:
     return design
 
 
-def initial_design(s: int, bounds, rng, restarts: int = 4, max_sweeps: int = 20) -> np.ndarray:
+_DESIGN_RESTARTS = 4  # Latin hypercubes drawn; the best exchanged one is kept
+_DESIGN_MAX_SWEEPS = 20  # exchange sweeps per hypercube, stopping early at no gain
+
+
+def initial_design(s: int, bounds, rng) -> np.ndarray:
     """Space-filling initial design: a Latin hypercube improved by coordinate
     exchange under the maximum-projection criterion.
 
@@ -317,13 +320,13 @@ def initial_design(s: int, bounds, rng, restarts: int = 4, max_sweeps: int = 20)
         raise ValueError("initial design needs at least 2 points")
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
     v = bounds.shape[0]
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
 
     best, best_crit = None, np.inf
-    for _ in range(max(restarts, 1)):
+    for _ in range(_DESIGN_RESTARTS):
         design = _latin_hypercube(s, v, rng)
         crit = _maxpro_criterion(design)
-        for _ in range(max_sweeps):
+        for _ in range(_DESIGN_MAX_SWEEPS):
             improved = False
             for k in range(v):
                 for i in range(s - 1):
@@ -403,6 +406,9 @@ def _parse_env(entries) -> tuple:
         dist, first, second = _DISTRIBUTIONS[kind]
         p = read_field(entry, first, float, where)
         dists.append(read_field(entry, second, lambda q: dist(p, float(q)), where))
+    # The toy evaluator reads the first two environmental columns.
+    if len(dists) < 2:
+        raise ValueError(f"expected at least two distributions, got {len(dists)}")
     return tuple(dists)
 
 
@@ -430,8 +436,9 @@ def _is_path(source) -> bool:
 def load_problem(source) -> ProblemSpec:
     """Build a ProblemSpec from a JSON document (path, JSON string, or dict).
 
-    See README for the schema. Only the benchmark family ('toy') ships with
-    the package; custom problems are constructed in code.
+    See README for the schema; a key outside it is an error. Only the
+    benchmark family ('toy') ships with the package; custom problems are
+    constructed in code.
     """
     if isinstance(source, dict):
         doc = source
@@ -444,20 +451,16 @@ def load_problem(source) -> ProblemSpec:
     kind = read_field(doc, "problem")
     if kind != "toy":
         raise ProblemSchemaError(f"field 'problem' must be 'toy', got {kind!r}")
+    known = ("problem", "a", "env", "constraints", "control_bounds")
+    unknown = [repr(key) for key in doc if key not in known]
+    if unknown:
+        raise ProblemSchemaError(f"unknown problem field {', '.join(unknown)}")
     env = read_field(doc, "env", _parse_env, default=None)
     constraints = read_field(
         doc, "constraints", lambda c: read_field(c, "upper_bounds", _parse_upper_bounds, "constraints."),
         default=None,
     )
     control_bounds = read_field(doc, "control_bounds", _parse_control_bounds, default=None)
-    cost_params = read_field(
-        doc, "cost_params",
-        lambda c: CostParams(**{f.name: read_field(c, f.name, float, "cost_params.")
-                                for f in fields(CostParams)}),
-        default=None,
-    )
     # The other parts are checked, so a ValueError here is about ``a``.
-    problem = read_field(doc, "a", lambda a: toy_problem(
+    return read_field(doc, "a", lambda a: toy_problem(
         float(a), constraints=constraints, env=env, control_bounds=control_bounds))
-    problem.cost_params = cost_params
-    return problem

@@ -166,12 +166,12 @@ class TestFutureNoise:
         z1 = rng.normal(0.0, 10.0, n)
         ds = _ds([1.0, 2.0])
         big = NoisyObservation(ds[1].location, float(z1.mean()), float(z1.var(ddof=1) / n))
-        ds = ds.with_replaced(1, big)
+        ds = GpDataset([ds[0], big])
         assert future_noise([ds])[0] == big.variance
         assert big.variance > 1.0
         z2 = rng.normal(0.0, 1.0, n)
         merged = merge_replicate(ds[1], float(z2.mean()), float(z2.var(ddof=1) / n), n)
-        ds = ds.with_replaced(1, merged)
+        ds = GpDataset([ds[0], merged])
         assert merged.variance < big.variance
         assert future_noise([ds])[0] == max(1.0, merged.variance)
 

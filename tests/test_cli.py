@@ -181,7 +181,10 @@ class TestCmdRun:
         ({"control_bounds": [["a", 1], [0, 1]]}, "'control_bounds'"),
         ({"env": 5}, "'env'"),
         ({"env": [{"type": "normal", "mu": 0.0, "sd": -1.0}]}, "'env[0].sd'"),
-        ({"cost_params": {"dose_cost": 1}}, "'cost_params.doses_per_person'"),
+        ({"cost_params": {"dose_cost": 1}}, "'cost_params'"),
+        ({"env": []}, "'env'"),
+        ({"env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}]}, "'env'"),
+        ({"constraint": {"upper_bounds": [0.2, None]}}, "'constraint'"),
     ])
     def test_invalid_problem_field_exits_2_naming_it(self, tmp_path, capsys, extra, field):
         rc = main([

@@ -138,6 +138,8 @@ def test_dataset_index_of_exact_match():
     ds = GpDataset([NoisyObservation([0.1, 0.2], 1.0, 0.1), NoisyObservation([0.3, 0.4], 2.0, 0.1)])
     assert ds.index_of([0.3, 0.4]) == 1
     assert ds.index_of([0.3, 0.4000001]) is None
+    assert ds.index_of([0.3, np.nextafter(0.4, 1.0)]) is None
+    assert ds.index_of([0.3]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ class TestInitialDesign:
     def test_optimization_improves_on_the_first_draw(self):
         seed = 12
         raw = _latin_hypercube(6, 2, np.random.default_rng(seed))
-        design = initial_design(6, [[0.0, 1.0], [0.0, 1.0]], np.random.default_rng(seed), restarts=1)
+        design = initial_design(6, [[0.0, 1.0], [0.0, 1.0]], np.random.default_rng(seed))
         assert _maxpro_criterion(design) <= _maxpro_criterion(raw)
 
     def test_reproducible(self):
@@ -354,20 +354,10 @@ class TestLoadProblem:
         with pytest.raises(ProblemSchemaError, match="uniform"):
             load_problem(doc)
 
-    def test_constraints_and_cost_params(self):
-        doc = {
-            "problem": "toy",
-            "a": 0.0,
-            "constraints": {"upper_bounds": [1.2, None]},
-            "cost_params": {
-                "dose_cost": 1, "doses_per_person": 2, "wastage": 1.1, "population": 1e4,
-                "horizon_years": 5, "shelf_life_years": 2, "center_setup_cost": 100,
-                "staff_admin_cost": 3, "centers": 2, "staff": 10,
-            },
-        }
+    def test_constraints(self):
+        doc = {"problem": "toy", "a": 0.0, "constraints": {"upper_bounds": [1.2, None]}}
         problem = load_problem(doc)
         assert problem.constraints.upper_bounds == (1.2, None)
-        assert problem.cost_params.population == 1e4
 
     def test_inline_json_longer_than_a_file_name(self):
         doc = {"problem": "toy", "a": 0.25, "env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}] * 8}

@@ -1,6 +1,7 @@
 """Property tests: invariants of front construction, front metrics, the
-improvement criterion, the GP likelihood, replicate pooling and config
-parsing, checked on generated inputs against independent references."""
+improvement criterion, the GP likelihood, replicate pooling, config parsing
+and the initial design, checked on generated inputs against independent
+references."""
 
 import json
 import math
@@ -10,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_force_front, front_metrics_reference, improvement_terms_reference, random_front
-from moeeqi.acquisition import merge_replicate
+from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
 from moeeqi.gp import GpDataset, KernelParams, NoisyObservation, log_marginal_likelihood
 from moeeqi.optimizer import RunConfig, front_metrics
-from moeeqi.pareto import FrontPoint, ImprovementMode, _improvement_terms, build_front
+from moeeqi.pareto import FrontPoint, ImprovementMode, _improvement_terms, build_front, moeeqi, moeeqi_scores
+from moeeqi.problems import initial_design
 
 # Small integers make ties in q1 and exact duplicates common.
 _values = st.lists(
@@ -113,6 +115,32 @@ def test_improvement_terms_equal_the_two_edge_reference(seed, size, mode):
     want = improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from(list(ImprovementMode)))
+def test_moeeqi_scores_are_batch_invariant_and_non_negative(seed, size, mode):
+    rng = np.random.default_rng(seed)
+    front = random_front(rng, size)
+    n = 30
+    mu1, mu2 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+    sd1, sd2 = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.5, n)
+    sd1[:8] = 0.0
+    sd2[4:12] = 0.0
+    scores = moeeqi_scores(front, mu1, sd1, mu2, sd2, mode)
+    assert np.all(scores >= 0.0)
+    for i in range(n):
+        one = moeeqi(front, QuantilePosterior(mu1[i], sd1[i]), QuantilePosterior(mu2[i], sd2[i]), mode)
+        assert scores[i] == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
+def test_initial_design_is_a_latin_hypercube(seed, size, dim):
+    design = initial_design(size, [[0.0, 1.0]] * dim, np.random.default_rng(seed))
+    assert design.shape == (size, dim)
+    for k in range(dim):
+        assert sorted(np.floor(design[:, k] * size).astype(int)) == list(range(size))
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,7 +13,8 @@
 # on defaults and normalization (a whole float n_mc, null seed and
 # min_score, a list-form mode_schedule, no --seed); a 2-replicate study; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
-# (wall times) are not listed.
+# (wall times) are not listed. Exits 1 without a listing unless some run's
+# observations.csv has a row with replications > 1.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/moeeqi" ]; then
@@ -81,4 +82,11 @@ cli oracle --problem "$work/toy.json" --resolution 200 --out "$out/oracle/front.
 cli oracle --problem "$work/toy.json" --resolution 500 --out "$out/oracle/front_500.csv"
 
 cd "$out"
+# Guard: some run must pool a repeated batch into an existing design point,
+# or the listing says nothing about the loop's replicate path.
+if ! awk -F, 'FNR == 1 { for (i = 1; i <= NF; i++) if ($i == "replications") col = i; next }
+              col && $col > 1 { found = 1 } END { exit !found }' ./*/observations.csv; then
+    echo "$0: no run has an observation with replications > 1" >&2
+    exit 1
+fi
 find . -name '*.csv' | LC_ALL=C sort | xargs sha256sum
