@@ -34,7 +34,6 @@ from .optimizer import (
     RunState,
     evaluate_metrics,
     front_metrics,
-    moeei_select,
     run,
     select_next,
 )

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run, whole_number
 from .pareto import ParetoFront
-from .problems import ProblemSchemaError, load_problem, oracle_front, read_field
+from .problems import ProblemSchemaError, load_problem, oracle_front, read_field, reject_unknown
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -47,10 +47,7 @@ def load_config(source) -> tuple[RunConfig, dict]:
     doc = {key: value for key, value in doc.items() if value is not None}
     study = {"study_betas": doc.pop("study_betas", None),
              "truth_resolution": doc.pop("truth_resolution", 500)}
-    names = {f.name for f in fields(RunConfig)}
-    unknown = [repr(key) for key in doc if key not in names]
-    if unknown:
-        raise ProblemSchemaError(f"unknown config field {', '.join(unknown)}")
+    reject_unknown(doc, {f.name for f in fields(RunConfig)}, "config")
     for key in ("beta", "n_mc", "n_iter"):
         read_field(doc, key)
     if "fixed_coords" in doc:
@@ -60,11 +57,17 @@ def load_config(source) -> tuple[RunConfig, dict]:
         config = RunConfig(**doc)
     except ValueError as exc:
         raise ProblemSchemaError(f"invalid config: {exc}") from exc
-    # Each study beta goes through RunConfig's own check.
-    read_field(study, "study_betas", lambda betas: [replace(config, beta=b) for b in betas], default=None)
+    read_field(study, "study_betas", lambda betas: _check_study_betas(config, betas), default=None)
     study["truth_resolution"] = read_field(
         study, "truth_resolution", lambda r: whole_number(r, "truth_resolution", 2))
     return config, study
+
+
+def _check_study_betas(config: RunConfig, betas) -> None:
+    if not betas:
+        raise ValueError("expected at least one beta")
+    for b in betas:
+        replace(config, beta=b)  # RunConfig's own check
 
 
 def _resolve_seed(config: RunConfig, cli_seed) -> RunConfig:
@@ -175,8 +178,8 @@ def cmd_oracle(args) -> int:
 
 def _study_variants(config: RunConfig, study: dict) -> list:
     """(comparator, beta, RunConfig) per study variant."""
-    variants = [("moeeqi", b, replace(config, beta=b, comparator="moeeqi"))
-                for b in study["study_betas"] or [config.beta]]
+    betas = [config.beta] if study["study_betas"] is None else study["study_betas"]
+    variants = [("moeeqi", b, replace(config, beta=b, comparator="moeeqi")) for b in betas]
     variants.append(("moeei", 0.5, replace(config, beta=0.5, comparator="moeei")))
     return variants
 
@@ -193,7 +196,7 @@ def cmd_study(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     truth = oracle_front(problem, study["truth_resolution"])
 
-    rows = []
+    records = []
     failures = []
     for comparator, beta, variant in variants:
         for rep in range(args.replicates):
@@ -204,17 +207,16 @@ def cmd_study(args) -> int:
                 continue
             for rec in state.history:
                 mean_dist, penalized, size = front_metrics(rec.front, truth)
-                rows.append(
-                    [comparator, _fmt(beta), str(rep), str(rec.iteration), _fmt(mean_dist),
-                     _fmt(penalized[5.0]), _fmt(penalized[10.0]), str(size), _fmt(rec.score)]
-                )
+                records.append((comparator, beta, rep, rec.iteration, mean_dist,
+                                penalized[5.0], penalized[10.0], size, rec.score))
     _write_csv(
         out_dir / "metrics.csv",
         ["comparator", "beta", "replicate", "iteration", "mean_distance",
          "penalized_5", "penalized_10", "front_size", "score"],
-        rows,
+        [[c, _fmt(b), str(r), str(it), _fmt(d), _fmt(p5), _fmt(p10), str(n), _fmt(sc)]
+         for c, b, r, it, d, p5, p10, n, sc in records],
     )
-    _write_study_summary(out_dir, rows)
+    _write_study_summary(out_dir, records)
     meta = {
         "seed": config.seed,
         "replicates": args.replicates,
@@ -229,25 +231,20 @@ def cmd_study(args) -> int:
         print(f"study finished with {len(failures)}/{total} failed replicates", file=sys.stderr)
         if len(failures) == total:
             return 1
-    print(f"study complete: {len(rows)} metric rows in {out_dir}")
+    print(f"study complete: {len(records)} metric rows in {out_dir}")
     return 0
 
 
-def _write_study_summary(out_dir: Path, rows: list) -> None:
+def _write_study_summary(out_dir: Path, records: list) -> None:
     """Per-iteration mean and 5%/95% bands across replicates for each variant."""
     groups = {}
-    for row in rows:
-        key = (row[0], row[1], row[3])
-        groups.setdefault(key, []).append((float(row[4]), int(row[7]), float(row[8])))
+    for comparator, beta, _, iteration, dist, _, _, size, score in records:
+        groups.setdefault((comparator, beta, iteration), []).append((dist, size, score))
     out = []
-    for (comparator, beta, iteration), vals in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], float(kv[0][1]), int(kv[0][2]))
-    ):
-        dist = np.array([v[0] for v in vals])
-        size = np.array([v[1] for v in vals], dtype=float)
-        score = np.array([v[2] for v in vals])
+    for (comparator, beta, iteration), vals in sorted(groups.items()):
+        dist, size, score = np.array(vals, dtype=float).T
         out.append(
-            [comparator, beta, iteration,
+            [comparator, _fmt(beta), str(iteration),
              _fmt(np.nanmean(dist)), _fmt(np.nanpercentile(dist, 5)), _fmt(np.nanpercentile(dist, 95)),
              _fmt(size.mean()), _fmt(np.percentile(size, 5)), _fmt(np.percentile(size, 95)),
              _fmt(score.mean())]

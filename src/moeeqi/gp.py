@@ -39,6 +39,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # step in turn (up to 1e-4 relative) until the Cholesky succeeds.
 _JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
+_COLD_STARTS = 5  # Nelder-Mead searches of a fit without a warm start
+_WARM_STARTS = 3  # a warm start from the previous estimate converges quickly
+
 
 class GpFitError(RuntimeError):
     """Covariance factorization or hyperparameter estimation failed."""
@@ -252,22 +255,22 @@ def _default_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
 
 def fit_hyperparameters(
     dataset: GpDataset,
-    restarts: int = 8,
     rng=None,
     warm_start: KernelParams | None = None,
 ) -> KernelParams:
     """Maximum-likelihood kernel hyperparameters via multi-start Nelder-Mead
     over the box of ``_default_bounds``.
 
+    A cold fit searches from the box center and ``_COLD_STARTS - 1`` points
+    drawn from ``rng``; a warm fit from the warm start clipped to the box,
+    the center and ``_WARM_STARTS - 2`` draws.
+
     Parameters
     ----------
     dataset : GpDataset
         At least two observations; noise variances are held fixed.
-    restarts : int
-        Number of local searches; after any warm start, one begins at the box
-        center and the rest at points drawn from ``rng``.
     rng : numpy Generator or int seed
-        Drives the restart draws, making the fit reproducible.
+        Drives the start draws, making the fit reproducible.
     warm_start : KernelParams, optional
         Extra starting point, e.g. the previous iteration's estimate.
 
@@ -293,11 +296,11 @@ def fit_hyperparameters(
         theta_w = np.log(np.r_[warm_start.process_variance, warm_start.lengthscales])
         starts.append(np.clip(theta_w, [b[0] for b in log_box], [b[1] for b in log_box]))
     starts.append(np.array([0.5 * (lo + hi) for lo, hi in log_box]))
-    for _ in range(max(restarts - len(starts), 0)):
+    for _ in range((_COLD_STARTS if warm_start is None else _WARM_STARTS) - len(starts)):
         starts.append(np.array([rng.uniform(lo, hi) for lo, hi in log_box]))
 
     best_theta, best_val = None, np.inf
-    for theta0 in starts[:max(restarts, 1)]:
+    for theta0 in starts:
         res = minimize(
             objective,
             theta0,
@@ -365,7 +368,6 @@ class GpEmulator:
         cls,
         dataset: GpDataset,
         control_bounds: np.ndarray | None = None,
-        restarts: int = 8,
         rng=None,
         warm_start: KernelParams | None = None,
     ) -> "GpEmulator":
@@ -373,7 +375,7 @@ class GpEmulator:
         lb, span = _unit_box(control_bounds, dataset.dim)
         scaled = GpDataset([NoisyObservation((o.location - lb) / span, o.mean, o.variance,
                                              o.replications) for o in dataset])
-        params = fit_hyperparameters(scaled, restarts=restarts, rng=rng, warm_start=warm_start)
+        params = fit_hyperparameters(scaled, rng=rng, warm_start=warm_start)
         return cls(dataset, params, control_bounds=control_bounds)
 
     def scale(self, x: np.ndarray) -> np.ndarray:

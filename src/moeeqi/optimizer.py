@@ -36,14 +36,13 @@ __all__ = [
     "Metrics",
     "run",
     "select_next",
-    "moeei_select",
     "evaluate_metrics",
     "front_metrics",
     "pinned_bounds",
 ]
 
 _COMPARATORS = ("moeeqi", "moeei")
-_FIT_RESTARTS = 3  # Nelder-Mead restarts of a warm-started refit
+_PENALTY_FACTORS = (5.0, 10.0)  # distance multipliers for overestimating front points
 
 
 def whole_number(value, name: str, minimum: int = None) -> int:
@@ -168,9 +167,19 @@ class Metrics:
 # ---------------------------------------------------------------------------
 
 
-def _design_front(state: "RunState", beta: float, sigma2_future) -> ParetoFront:
+def _criterion(state: "RunState") -> tuple:
+    """The comparator's quantile level and per-objective future noise: the
+    configured beta and the conservative future noise for moeeqi; for the
+    plug-in moeei, posterior means (beta one half) and an exact observation."""
+    if state.config.comparator == "moeeqi":
+        return state.config.beta, future_noise(state.datasets)
+    return 0.5, [0.0, 0.0]
+
+
+def _design_front(state: "RunState") -> ParetoFront:
     """Front of current-emulator quantiles at the design locations, with the
     noise-adjusted constraint filter applied."""
+    beta, sigma2_future = _criterion(state)
     locations = state.datasets[0].locations()
     z = float(std_normal_quantile(beta))
     quantiles = np.empty((locations.shape[0], 2))
@@ -185,12 +194,12 @@ def _design_front(state: "RunState", beta: float, sigma2_future) -> ParetoFront:
     )
 
 
-def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: ImprovementMode,
-            beta: float, sigma2_future):
+def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: ImprovementMode):
     """Argmax of the criterion over the grid against the design-location
     ``front``. Candidates failing the constraint filter score zero; when every
     candidate does, the point of largest summed posterior variance is taken
     instead. Returns (point, score, fallback)."""
+    beta, sigma2_future = _criterion(state)
     mq = np.empty((grid.shape[0], 2))
     sq = np.empty_like(mq)
     var_sum = np.zeros(grid.shape[0])
@@ -210,23 +219,12 @@ def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: Impro
     return grid[int(np.argmax(var_sum))], 0.0, True
 
 
-def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode, beta: float):
-    """Grid point maximizing the expected quantile improvement criterion under
-    the conservative (maximum observed) future-noise rule. Lexicographically
-    first on ties; falls back to the maximum-variance point when every
-    candidate scores zero.
+def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode):
+    """Grid point maximizing the criterion of the state's comparator (see
+    ``_criterion``). Lexicographically first on ties; falls back to the
+    maximum-variance point when every candidate scores zero.
     """
-    sigma2 = future_noise(state.datasets)
-    point, score, _ = _select(state, _design_front(state, beta, sigma2), grid, mode, beta, sigma2)
-    return point, score
-
-
-def moeei_select(state: RunState, grid: np.ndarray, mode: ImprovementMode = ImprovementMode.AGGRESSIVE):
-    """Plug-in comparator: front built from posterior means and the future
-    observation treated as exact (zero variance), i.e. the same pipeline with
-    the quantile level pinned at one half."""
-    sigma2 = [0.0, 0.0]
-    point, score, _ = _select(state, _design_front(state, 0.5, sigma2), grid, mode, 0.5, sigma2)
+    point, score, _ = _select(state, _design_front(state), grid, mode)
     return point, score
 
 
@@ -256,22 +254,12 @@ def pinned_bounds(problem: ProblemSpec, fixed_coords) -> np.ndarray:
     return bounds
 
 
-def _fit_emulators(datasets, problem, config, rng, warm=None):
-    # Cold fits get extra restarts; warm-started refits converge quickly.
-    restarts = _FIT_RESTARTS if warm else _FIT_RESTARTS + 2
-    emulators = []
-    for i, ds in enumerate(datasets):
-        seed = int(rng.integers(2**31 - 1))
-        emulators.append(
-            GpEmulator.fit(
-                ds,
-                control_bounds=problem.control_bounds,
-                restarts=restarts,
-                rng=seed,
-                warm_start=warm[i] if warm else None,
-            )
-        )
-    return tuple(emulators)
+def _fit_emulators(datasets, problem, rng, warm=None):
+    return tuple(
+        GpEmulator.fit(ds, control_bounds=problem.control_bounds, rng=int(rng.integers(2**31 - 1)),
+                       warm_start=None if warm is None else warm[i])
+        for i, ds in enumerate(datasets)
+    )
 
 
 def run(problem: ProblemSpec, config: RunConfig) -> RunState:
@@ -285,8 +273,6 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
     fixed seed.
     """
     rng = np.random.default_rng(config.seed)
-    future = config.comparator == "moeeqi"
-    beta_eff = config.beta if future else 0.5
     grid = candidate_grid(pinned_bounds(problem, config.fixed_coords), config.grid_resolution)
 
     design = initial_design(config.initial_design_size, problem.control_bounds, rng)
@@ -302,17 +288,16 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
         problem=problem,
         config=config,
         datasets=datasets,
-        emulators=_fit_emulators(datasets, problem, config, rng),
+        emulators=_fit_emulators(datasets, problem, rng),
         iteration=0,
         initial_front=None,
         front=None,
     )
-    # The design front and future noise that end one iteration start the next.
-    sigma2 = future_noise(state.datasets) if future else [0.0, 0.0]
-    state.initial_front = state.front = _design_front(state, beta_eff, sigma2)
+    # The design front that ends one iteration starts the next.
+    state.initial_front = state.front = _design_front(state)
 
     for it, mode in enumerate(config.iteration_modes(), start=1):
-        point, score, fallback = _select(state, state.front, grid, mode, beta_eff, sigma2)
+        point, score, fallback = _select(state, state.front, grid, mode)
         if config.min_score is not None and not fallback and score < config.min_score:
             state.stopped_early = True
             break
@@ -330,15 +315,14 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
         state.datasets = tuple(folded)
         if config.refit_hyperparameters:
             state.emulators = _fit_emulators(
-                state.datasets, problem, config, rng, warm=[em.params for em in state.emulators]
+                state.datasets, problem, rng, warm=[em.params for em in state.emulators]
             )
         else:
             state.emulators = tuple(
                 GpEmulator(ds, em.params, control_bounds=problem.control_bounds)
                 for ds, em in zip(state.datasets, state.emulators)
             )
-        sigma2 = future_noise(state.datasets) if future else [0.0, 0.0]
-        state.front = _design_front(state, beta_eff, sigma2)
+        state.front = _design_front(state)
         state.iteration = it
         state.history.append(
             IterationRecord(
@@ -359,28 +343,28 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
 # ---------------------------------------------------------------------------
 
 
-def front_metrics(front: ParetoFront, truth: ParetoFront, penalty_factors=(5.0, 10.0)):
+def front_metrics(front: ParetoFront, truth: ParetoFront):
     """Mean distance from front points to their nearest truth points, plus
-    penalized variants multiplying the distance of overestimating points, those
-    that no truth point dominates or equals."""
+    penalized variants, keyed by factor, that multiply the distance of
+    overestimating points (those no truth point dominates or equals) by each
+    of ``_PENALTY_FACTORS``."""
     if len(truth) == 0:
         raise ValueError("truth front is empty")
     if len(front) == 0:
-        return math.nan, {float(f): math.nan for f in penalty_factors}, 0
+        return math.nan, {f: math.nan for f in _PENALTY_FACTORS}, 0
     tq1, tq2 = truth.q1s(), truth.q2s()
     q1, q2 = front.q1s()[:, None], front.q2s()[:, None]
     dists = np.sqrt(np.min((tq1 - q1) ** 2 + (tq2 - q2) ** 2, axis=1))
     # The last truth point with q1 <= the front point's has the least q2 of those.
     idx = np.searchsorted(tq1, q1[:, 0], side="right") - 1
     overs = (idx < 0) | (tq2[np.maximum(idx, 0)] > q2[:, 0])
-    penalized = {float(f): float(np.mean(np.where(overs, float(f) * dists, dists)))
-                 for f in penalty_factors}
+    penalized = {f: float(np.mean(np.where(overs, f * dists, dists))) for f in _PENALTY_FACTORS}
     return float(np.mean(dists)), penalized, len(front)
 
 
-def evaluate_metrics(state: RunState, truth: ParetoFront, penalty_factors=(5.0, 10.0)) -> Metrics:
+def evaluate_metrics(state: RunState, truth: ParetoFront) -> Metrics:
     """Summarize a finished run against a reference front."""
-    mean_dist, penalized, size = front_metrics(state.front, truth, penalty_factors)
+    mean_dist, penalized, size = front_metrics(state.front, truth)
     return Metrics(
         mean_distance=mean_dist,
         penalized=penalized,

@@ -158,7 +158,8 @@ def toy_problem(
     control_bounds: np.ndarray | None = None,
 ) -> "ProblemSpec":
     """Benchmark problem instance with tuning parameter ``a`` controlling the
-    nonlinear part of the environmental noise."""
+    nonlinear part of the environmental noise. ``control_bounds`` must lie
+    inside the benchmark's box [0, pi/2] x [0, 1]."""
     if a < 0.0:
         raise ValueError("a must be non-negative")
 
@@ -169,7 +170,7 @@ def toy_problem(
     return ProblemSpec(
         evaluator=evaluator,
         env=tuple(env) if env is not None else TOY_ENV,
-        control_bounds=np.array(control_bounds if control_bounds is not None else TOY_CONTROL_BOUNDS, dtype=float),
+        control_bounds=_parse_control_bounds(TOY_CONTROL_BOUNDS if control_bounds is None else control_bounds),
         constraints=constraints,
         truth=ground_truth,
         name=f"toy(a={a})",
@@ -371,6 +372,14 @@ class ProblemSchemaError(ValueError):
 _REQUIRED = object()
 
 
+def reject_unknown(doc: dict, known, document: str, where: str = "") -> None:
+    """ProblemSchemaError naming every key of the JSON object ``doc`` outside
+    ``known``, by its path ``where + key`` in the ``document``."""
+    unknown = [f"'{where}{key}'" for key in doc if key not in known]
+    if unknown:
+        raise ProblemSchemaError(f"unknown {document} field {', '.join(unknown)}")
+
+
 def read_field(doc, key: str, parse=None, where: str = "", default=_REQUIRED):
     """``parse(doc[key])``, or ``doc[key]`` without ``parse``, for the field
     ``where + key`` of a JSON object; an absent or null field gives
@@ -404,6 +413,7 @@ def _parse_env(entries) -> tuple:
         if kind not in _DISTRIBUTIONS:
             raise ProblemSchemaError(f"field '{where}type' must be 'uniform' or 'normal', got {kind!r}")
         dist, first, second = _DISTRIBUTIONS[kind]
+        reject_unknown(entry, ("type", first, second), "problem", where)
         p = read_field(entry, first, float, where)
         dists.append(read_field(entry, second, lambda q: dist(p, float(q)), where))
     # The toy evaluator reads the first two environmental columns.
@@ -418,10 +428,19 @@ def _parse_upper_bounds(bounds) -> ConstraintSpec:
     return ConstraintSpec(tuple(None if b is None else float(b) for b in bounds))
 
 
+def _parse_constraints(doc) -> ConstraintSpec:
+    constraints = read_field(doc, "upper_bounds", _parse_upper_bounds, "constraints.")
+    reject_unknown(doc, ("upper_bounds",), "problem", "constraints.")
+    return constraints
+
+
 def _parse_control_bounds(bounds) -> np.ndarray:
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (2, 2) or not np.all(np.isfinite(bounds)) or np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise ValueError("expected two finite [lb, ub] pairs with lb < ub")
+    """The toy's control box, inside TOY_CONTROL_BOUNDS where the toy is defined."""
+    bounds = np.array(bounds, dtype=float)
+    lo, hi = TOY_CONTROL_BOUNDS.T
+    if bounds.shape != (2, 2) or not np.all((lo <= bounds[:, 0]) & (bounds[:, 0] < bounds[:, 1])
+                                            & (bounds[:, 1] <= hi)):
+        raise ValueError("expected two [lb, ub] pairs with lb < ub inside [0, pi/2] x [0, 1]")
     return bounds
 
 
@@ -451,15 +470,9 @@ def load_problem(source) -> ProblemSpec:
     kind = read_field(doc, "problem")
     if kind != "toy":
         raise ProblemSchemaError(f"field 'problem' must be 'toy', got {kind!r}")
-    known = ("problem", "a", "env", "constraints", "control_bounds")
-    unknown = [repr(key) for key in doc if key not in known]
-    if unknown:
-        raise ProblemSchemaError(f"unknown problem field {', '.join(unknown)}")
+    reject_unknown(doc, ("problem", "a", "env", "constraints", "control_bounds"), "problem")
     env = read_field(doc, "env", _parse_env, default=None)
-    constraints = read_field(
-        doc, "constraints", lambda c: read_field(c, "upper_bounds", _parse_upper_bounds, "constraints."),
-        default=None,
-    )
+    constraints = read_field(doc, "constraints", _parse_constraints, default=None)
     control_bounds = read_field(doc, "control_bounds", _parse_control_bounds, default=None)
     # The other parts are checked, so a ValueError here is about ``a``.
     return read_field(doc, "a", lambda a: toy_problem(

@@ -185,6 +185,11 @@ class TestCmdRun:
         ({"env": []}, "'env'"),
         ({"env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}]}, "'env'"),
         ({"constraint": {"upper_bounds": [0.2, None]}}, "'constraint'"),
+        ({"constraints": {"upper_bounds": [1.1, None], "lower_bounds": [0, 0]}},
+         "'constraints.lower_bounds'"),
+        ({"env": [{"type": "uniform", "lo": -1.0, "hi": 1.0, "sd": 9.0},
+                  {"type": "normal", "mu": 0.0, "sd": 0.5}]}, "'env[0].sd'"),
+        ({"control_bounds": [[0.0, 3.0], [0.0, 1.0]]}, "'control_bounds'"),
     ])
     def test_invalid_problem_field_exits_2_naming_it(self, tmp_path, capsys, extra, field):
         rc = main([
@@ -230,6 +235,16 @@ class TestCmdOracle:
         ])
         assert rc == 2
         assert "resolution" in capsys.readouterr().err
+
+    def test_control_bounds_outside_the_toy_box_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "front.csv"
+        rc = main([
+            "oracle", "--problem", _problem_file(tmp_path, control_bounds=[[0.0, 3.0], [0.0, 1.0]]),
+            "--resolution", "20", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "'control_bounds'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_parses_back_as_valid_front(self, tmp_path):
         out = tmp_path / "front.csv"
@@ -311,6 +326,7 @@ class TestCmdStudy:
         ({"study_betas": 0.7}, "study_betas"),
         ({"truth_resolution": 1}, "truth_resolution"),
         ({"study_betas": [1.5]}, "study_betas"),
+        ({"study_betas": []}, "study_betas"),
     ])
     def test_invalid_study_field_exits_2_before_the_truth_front(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "study"

@@ -18,7 +18,8 @@ from moeeqi.gp import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from moeeqi.gp import _gram_cholesky, _kernel_matrix
+import moeeqi.gp
+from moeeqi.gp import _default_bounds, _gram_cholesky, _kernel_matrix
 
 from _oracles import kernel_eval
 
@@ -215,7 +216,7 @@ class TestPosterior:
         rng = np.random.default_rng(8)
         for _ in range(5):
             ds = _dataset(rng, rng.integers(3, 9), 2, noise=(0.0, 0.3))
-            em = GpEmulator.fit(ds, rng=int(rng.integers(1 << 30)), restarts=3)
+            em = GpEmulator.fit(ds, rng=int(rng.integers(1 << 30)))
             grid = rng.uniform(-1, 2, size=(200, 2))
             _, v = em.posterior(grid)
             assert np.all(v >= 0.0)
@@ -317,7 +318,7 @@ class TestFit:
         K = _kernel_matrix(true.process_variance, true.lengthscales, X) + 1e-8 * np.eye(30)
         y = np.linalg.cholesky(K) @ rng.normal(size=30)
         ds = GpDataset([NoisyObservation(X[j], y[j], 1e-6) for j in range(30)])
-        fitted = fit_hyperparameters(ds, restarts=6, rng=0)
+        fitted = fit_hyperparameters(ds, rng=0)
         ls = float(fitted.lengthscales[0])
         assert 0.15 <= ls <= 0.6
         # the estimate cannot have lower likelihood than the truth
@@ -326,8 +327,8 @@ class TestFit:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)
         ds = _dataset(rng, 8, 2)
-        a = fit_hyperparameters(ds, restarts=1, rng=42)
-        b = fit_hyperparameters(ds, restarts=1, rng=42)
+        a = fit_hyperparameters(ds, rng=42)
+        b = fit_hyperparameters(ds, rng=42)
         assert a.process_variance == b.process_variance
         assert np.array_equal(a.lengthscales, b.lengthscales)
 
@@ -335,8 +336,31 @@ class TestFit:
         rng = np.random.default_rng(17)
         X = rng.uniform(size=(5, 2))
         ds = GpDataset([NoisyObservation(x, 2.0, 0.05) for x in X])
-        fitted = fit_hyperparameters(ds, restarts=2, rng=0)
+        fitted = fit_hyperparameters(ds, rng=0)
         assert np.isfinite(log_marginal_likelihood(ds, fitted))
+
+    def test_cold_fit_searches_five_starts_and_warm_fit_three(self, monkeypatch):
+        starts = []
+        minimize = moeeqi.gp.minimize
+
+        def recording(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(moeeqi.gp, "minimize", recording)
+        ds = _dataset(np.random.default_rng(19), 6, 2)
+        cold = fit_hyperparameters(ds, rng=0)
+        assert len(starts) == 5
+        starts.clear()
+        # process variance above the box, the first lengthscale below it
+        warm = KernelParams(1e6 * cold.process_variance, [1e-6, cold.lengthscales[1]])
+        fit_hyperparameters(ds, rng=0, warm_start=warm)
+        assert len(starts) == 3
+        box = _default_bounds(ds.locations(), ds.means())
+        log_box = np.array([[math.log(lo), math.log(hi)] for lo, hi in box])
+        theta_w = np.log(np.r_[warm.process_variance, warm.lengthscales])
+        assert np.array_equal(starts[0], np.clip(theta_w, log_box[:, 0], log_box[:, 1]))
+        assert starts[0][0] == log_box[0, 1] and starts[0][1] == log_box[1, 0]
 
     def test_requires_two_observations(self):
         ds = GpDataset([NoisyObservation([0.0], 1.0, 0.1)])

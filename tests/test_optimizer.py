@@ -1,5 +1,6 @@
 """Tests for the sequential-design loop, selection operators, and metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from moeeqi.optimizer import (
     RunState,
     evaluate_metrics,
     front_metrics,
-    moeei_select,
     run,
     select_next,
 )
@@ -56,6 +56,11 @@ def _manual_state(obs1, obs2, params, beta=0.7):
     config = RunConfig(beta=beta, n_mc=2, n_iter=0, initial_design_size=2)
     empty = ParetoFront([])
     return RunState(problem, config, (ds1, ds2), (em1, em2), 0, empty, empty)
+
+
+def _as_moeei(state):
+    """The same state under the plug-in comparator."""
+    return dataclasses.replace(state, config=dataclasses.replace(state.config, comparator="moeei"))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +267,7 @@ class TestSelection:
         from moeeqi.optimizer import _design_front
 
         sigma2 = future_noise(state.datasets)
-        front = _design_front(state, beta, sigma2)
+        front = _design_front(state)
         for idx in rng.choice(len(grid), size=5, replace=False):
             x = grid[idx]
             qps = []
@@ -270,7 +275,7 @@ class TestSelection:
                 m, s2 = em.posterior(x)
                 qps.append(quantile_posterior(m, s2, sigma2[i], beta))
             expected = moeeqi(front, qps[0], qps[1], AGG)
-            point, score = select_next(state, np.array([x]), AGG, beta)
+            point, score = select_next(state, np.array([x]), AGG)
             if expected > 0:
                 assert abs(score - expected) < 1e-12
             else:
@@ -285,9 +290,9 @@ class TestSelection:
         obs1 = [NoisyObservation(x1, 0.0, 0.0), NoisyObservation(x2, 1.0, 0.0)]
         obs2 = [NoisyObservation(x1, 1.0, 0.0), NoisyObservation(x2, 0.0, 0.0)]
         state = _manual_state(obs1, obs2, params)
-        _, s_left = select_next(state, np.array([x1]), AGG, 0.7)
-        _, s_right = select_next(state, np.array([x2]), AGG, 0.7)
-        point, s_mid = select_next(state, np.array([x1, mid, x2]), AGG, 0.7)
+        _, s_left = select_next(state, np.array([x1]), AGG)
+        _, s_right = select_next(state, np.array([x2]), AGG)
+        point, s_mid = select_next(state, np.array([x1, mid, x2]), AGG)
         assert max(s_left, s_right) < 1e-7
         assert s_mid > 0.1
         assert point[0] == mid[0]
@@ -299,8 +304,8 @@ class TestSelection:
         obs2 = [NoisyObservation([x], float(np.cos(6 * x)), 0.0) for x in X]
         state = _manual_state(obs1, obs2, KernelParams(1.0, [0.3]), beta=0.5)
         grid = rng.uniform(0, 1, size=(40, 1))
-        p_eqi, s_eqi = select_next(state, grid, AGG, 0.5)
-        p_ei, s_ei = moeei_select(state, grid)
+        p_eqi, s_eqi = select_next(state, grid, AGG)
+        p_ei, s_ei = select_next(_as_moeei(state), grid, AGG)
         assert np.array_equal(p_eqi, p_ei)
         assert abs(s_eqi - s_ei) < 1e-14
 
@@ -314,23 +319,23 @@ class TestSelection:
         obs1 = [NoisyObservation(x1, 0.0, 0.25), NoisyObservation(x2, 1.0, 1e-12)]
         obs2 = [NoisyObservation(x1, 0.0, 0.25), NoisyObservation(x2, 1.0, 1e-12)]
         state = _manual_state(obs1, obs2, params)
-        _, ei_resolved = moeei_select(state, np.array([x2]))
+        _, ei_resolved = select_next(_as_moeei(state), np.array([x2]), AGG)
         assert ei_resolved == 0.0
-        _, eqi_noisy = select_next(state, np.array([x1]), AGG, 0.7)
+        _, eqi_noisy = select_next(state, np.array([x1]), AGG)
         assert eqi_noisy > 0.0
-        _, ei_noisy = moeei_select(state, np.array([x1]))
+        _, ei_noisy = select_next(_as_moeei(state), np.array([x1]), AGG)
         assert eqi_noisy > ei_noisy
-        point, _ = select_next(state, np.array([x1, x2]), AGG, 0.7)
+        point, _ = select_next(state, np.array([x1, x2]), AGG)
         assert point[0] == x1[0]
 
     def test_deterministic(self):
         state = run(toy_problem(0.5), _small_config(n_iter=1, seed=12))
         grid = candidate_grid(state.problem.control_bounds, 9)
-        a = select_next(state, grid, AGG, 0.7)
-        b = select_next(state, grid, AGG, 0.7)
+        a = select_next(state, grid, AGG)
+        b = select_next(state, grid, AGG)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-        c = moeei_select(state, grid)
-        d = moeei_select(state, grid)
+        c = select_next(_as_moeei(state), grid, AGG)
+        d = select_next(_as_moeei(state), grid, AGG)
         assert np.array_equal(c[0], d[0]) and c[1] == d[1]
 
 
@@ -351,7 +356,7 @@ class TestMetrics:
     def test_feasible_point_is_not_penalized(self):
         truth = ParetoFront([FrontPoint(0.0, 1.0), FrontPoint(1.0, 0.0)])
         front = ParetoFront([FrontPoint(0.5, 1.5)])  # dominated by (0, 1)
-        mean_dist, penalized, size = front_metrics(front, truth, (5.0,))
+        mean_dist, penalized, size = front_metrics(front, truth)
         d = math.hypot(0.5, 0.5)
         assert abs(mean_dist - d) < 1e-12
         assert abs(penalized[5.0] - d) < 1e-12
@@ -359,7 +364,7 @@ class TestMetrics:
     def test_overestimating_point_is_penalized(self):
         truth = ParetoFront([FrontPoint(0.0, 1.0), FrontPoint(1.0, 0.0)])
         front = ParetoFront([FrontPoint(-0.5, -0.5)])  # dominates every truth point
-        mean_dist, penalized, size = front_metrics(front, truth, (5.0, 10.0))
+        mean_dist, penalized, size = front_metrics(front, truth)
         d = math.hypot(0.5, 1.5)  # nearest truth point is (0, 1)
         assert abs(mean_dist - d) < 1e-12
         assert abs(penalized[5.0] - 5 * d) < 1e-12

@@ -359,6 +359,12 @@ class TestLoadProblem:
         problem = load_problem(doc)
         assert problem.constraints.upper_bounds == (1.2, None)
 
+    def test_control_bounds_must_lie_inside_the_toy_box(self):
+        with pytest.raises(ValueError, match="inside"):
+            toy_problem(0.0, control_bounds=[[0.0, 3.0], [0.0, 1.0]])
+        problem = toy_problem(0.0, control_bounds=[[0.2, 1.4], [0.0, 0.8]])
+        assert problem.control_bounds.tolist() == [[0.2, 1.4], [0.0, 0.8]]
+
     def test_inline_json_longer_than_a_file_name(self):
         doc = {"problem": "toy", "a": 0.25, "env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}] * 8}
         text = json.dumps(doc)

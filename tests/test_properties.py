@@ -1,7 +1,7 @@
 """Property tests: invariants of front construction, front metrics, the
-improvement criterion, the GP likelihood, replicate pooling, config parsing
-and the initial design, checked on generated inputs against independent
-references."""
+improvement criterion, the GP likelihood and posterior variance, replicate
+pooling, config parsing and the initial design, checked on generated inputs
+against independent references."""
 
 import json
 import math
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from _oracles import brute_force_front, front_metrics_reference, improvement_terms_reference, random_front
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
-from moeeqi.gp import GpDataset, KernelParams, NoisyObservation, log_marginal_likelihood
+from moeeqi.gp import GpDataset, GpEmulator, KernelParams, NoisyObservation, log_marginal_likelihood
 from moeeqi.optimizer import RunConfig, front_metrics
 from moeeqi.pareto import FrontPoint, ImprovementMode, _improvement_terms, build_front, moeeqi, moeeqi_scores
 from moeeqi.problems import initial_design
@@ -59,7 +59,7 @@ _front_pairs = st.lists(
 def test_front_metrics_equals_the_per_point_reference(truth_pairs, front_pairs, scale):
     truth = _staircase([(a * scale, b * scale) for a, b in truth_pairs])
     front = _staircase([(a * scale, b * scale) for a, b in front_pairs])
-    got = front_metrics(front, truth, (5.0, 10.0))
+    got = front_metrics(front, truth)
     want = front_metrics_reference(front, truth, (5.0, 10.0))
     assert got[2] == want[2]
     if len(front) == 0:
@@ -69,11 +69,26 @@ def test_front_metrics_equals_the_per_point_reference(truth_pairs, front_pairs, 
     assert got[1] == want[1]
 
 
+def _dense_kernel(X, Y, params):
+    diff = (X[:, None, :] - Y[None, :, :]) / params.lengthscales
+    return params.process_variance * np.exp(-0.5 * np.sum(diff**2, axis=2))
+
+
+def _random_gp_data(rng, dim, size):
+    """Locations, responses, a kernel, and noise with a floor that keeps
+    C = K + diag(noise) well conditioned, so no jitter is applied."""
+    X = rng.uniform(-1.0, 2.0, size=(size, dim))
+    y = rng.normal(scale=rng.uniform(0.1, 3.0), size=size)
+    params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=dim))
+    noise = params.process_variance * rng.uniform(0.01, 0.5, size=size)
+    ds = GpDataset([NoisyObservation(X[j], y[j], noise[j]) for j in range(size)])
+    return X, y, params, noise, ds
+
+
 def _dense_profiled_loglik(X, y, noise, params):
     """Restricted log-likelihood from a dense inverse and slogdet of
     C = K + diag(noise), with the constant trend profiled out."""
-    diff = (X[:, None, :] - X[None, :, :]) / params.lengthscales
-    C = params.process_variance * np.exp(-0.5 * np.sum(diff**2, axis=2)) + np.diag(noise)
+    C = _dense_kernel(X, X, params) + np.diag(noise)
     Cinv = np.linalg.inv(C)
     one = np.ones(len(y))
     denom = one @ Cinv @ one
@@ -86,16 +101,31 @@ def _dense_profiled_loglik(X, y, noise, params):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 10))
 def test_log_marginal_likelihood_equals_the_dense_reference(seed, dim, size):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 2.0, size=(size, dim))
-    y = rng.normal(scale=rng.uniform(0.1, 3.0), size=size)
-    params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=dim))
-    # a noise floor keeps C well conditioned, so no jitter is applied
-    noise = params.process_variance * rng.uniform(0.01, 0.5, size=size)
-    ds = GpDataset([NoisyObservation(X[j], y[j], noise[j]) for j in range(size)])
+    X, y, params, noise, ds = _random_gp_data(np.random.default_rng(seed), dim, size)
     got = log_marginal_likelihood(ds, params)
     want = _dense_profiled_loglik(X, y, noise, params)
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 10))
+def test_posterior_variance_is_bounded_by_the_trend_inflated_prior(seed, dim, size):
+    # var = s2 - k'C^-1 k + h^2 / (1'C^-1 1) with h = 1 - k'C^-1 1, so it lies
+    # in [0, s2 + h^2 / (1'C^-1 1)]; far from the data k = 0 and h = 1.
+    rng = np.random.default_rng(seed)
+    X, _, params, noise, ds = _random_gp_data(rng, dim, size)
+    em = GpEmulator(ds, params)
+    Cinv = np.linalg.inv(_dense_kernel(X, X, params) + np.diag(noise))
+    one_Cinv_one = np.sum(Cinv)
+    Xq = rng.uniform(-2.0, 3.0, size=(50, dim))
+    _, var = em.posterior(Xq)
+    h = 1.0 - _dense_kernel(Xq, X, params) @ Cinv.sum(axis=1)
+    bound = params.process_variance + h * h / one_Cinv_one
+    assert np.all(var >= 0.0)
+    assert np.all(var <= bound * (1.0 + 1e-9))
+    _, far = em.posterior(np.full(dim, 1e3))
+    want = params.process_variance + 1.0 / one_Cinv_one
+    assert abs(far - want) <= 1e-9 * want
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,6 +162,25 @@ def test_moeeqi_scores_are_batch_invariant_and_non_negative(seed, size, mode):
     for i in range(n):
         one = moeeqi(front, QuantilePosterior(mu1[i], sd1[i]), QuantilePosterior(mu2[i], sd2[i]), mode)
         assert scores[i] == one
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from(list(ImprovementMode)))
+def test_moeeqi_scores_vanish_where_the_improvement_mass_does(seed, size, mode):
+    rng = np.random.default_rng(seed)
+    front = random_front(rng, size)
+    n = 40
+    mu1, mu2 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+    sd1, sd2 = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.5, n)
+    # Dominated candidates: exact ones, and ones so far above and right of
+    # the front that every normal tail mass underflows to zero.
+    sd1[:10] = sd2[:10] = 0.0
+    mu1[:20] = front.q1s()[-1] + 40.0 * sd1[:20] + rng.uniform(0.1, 2.0, 20)
+    mu2[:20] = front.q2s()[0] + 40.0 * sd2[:20] + rng.uniform(0.1, 2.0, 20)
+    mass, _, _ = _improvement_terms(front, mu1, sd1, mu2, sd2, mode)
+    assert np.all(mass[:20] == 0.0)
+    scores = moeeqi_scores(front, mu1, sd1, mu2, sd2, mode)
+    assert np.all(scores[mass <= 0.0] == 0.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,8 @@
 # (variance) constraint formula; run with fixed_coords; run with the moeei
 # comparator and refit_hyperparameters false; run with a config that leans
 # on defaults and normalization (a whole float n_mc, null seed and
-# min_score, a list-form mode_schedule, no --seed); a 2-replicate study; and
+# min_score, a list-form mode_schedule, no --seed); run on a toy problem
+# whose control_bounds are a sub-box of the default one; a 2-replicate study; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
 # (wall times) are not listed. Exits 1 without a listing unless some run's
 # observations.csv has a row with replications > 1.
@@ -35,6 +36,9 @@ cat >"$work/toy.json" <<'JSON'
 JSON
 cat >"$work/toy_constrained.json" <<'JSON'
 {"problem": "toy", "a": 0.5, "constraints": {"upper_bounds": [1.1, null]}}
+JSON
+cat >"$work/toy_subbox.json" <<'JSON'
+{"problem": "toy", "a": 0.5, "control_bounds": [[0.2, 1.4], [0.0, 0.8]]}
 JSON
 cat >"$work/mixed.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 8, "grid_resolution": 40, "initial_design_size": 5,
@@ -76,6 +80,8 @@ cli run --problem "$work/toy_constrained.json" --config "$work/literal.json" \
 cli run --problem "$work/toy.json" --config "$work/fixed.json" --out "$out/run_fixed"
 cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_moeei"
 cli run --problem "$work/toy.json" --config "$work/defaults.json" --out "$out/run_defaults"
+cli run --problem "$work/toy_subbox.json" --config "$work/plain.json" --seed 5 \
+    --out "$out/run_subbox"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
 cli oracle --problem "$work/toy.json" --resolution 200 --out "$out/oracle/front.csv"
