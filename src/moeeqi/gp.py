@@ -39,8 +39,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # step in turn (up to 1e-4 relative) until the Cholesky succeeds.
 _JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
-_COLD_STARTS = 5  # Nelder-Mead searches of a fit without a warm start
+_COLD_STARTS = 5  # L-BFGS-B searches of a fit without a warm start
 _WARM_STARTS = 3  # a warm start from the previous estimate converges quickly
+
+# Negative log-likelihood reported where the covariance cannot be factored:
+# far above any attained value, yet finite, as L-BFGS-B needs.
+_FAILED_FIT = 1e100
 
 
 class GpFitError(RuntimeError):
@@ -191,9 +195,14 @@ def _kernel_matrix(process_variance: float, lengthscales: np.ndarray, X: np.ndar
 
 def _gram_cholesky(X: np.ndarray, noise: np.ndarray, process_variance: float,
                    lengthscales: np.ndarray):
-    """Cholesky factor of K(X, X) + diag(noise) and the jitter it needed; the
-    ladder resets only the diagonal between rungs."""
-    C = _kernel_matrix(process_variance, lengthscales, X)
+    """Cholesky factor of K(X, X) + diag(noise) and the jitter it needed."""
+    return _factor_gram(_kernel_matrix(process_variance, lengthscales, X), noise, process_variance)
+
+
+def _factor_gram(K: np.ndarray, noise: np.ndarray, process_variance: float):
+    """Cholesky factor of K + diag(noise) and the jitter it needed; K is left
+    as it is, and the ladder resets only the diagonal between rungs."""
+    C = K.copy()
     diag = C.reshape(-1)[:: C.shape[0] + 1]  # strided view of the diagonal
     diag += noise
     base = diag.copy()
@@ -213,20 +222,45 @@ def _gram_cholesky(X: np.ndarray, noise: np.ndarray, process_variance: float,
 # ---------------------------------------------------------------------------
 
 
-def _profiled_loglik(X, y, noise, process_variance: float, lengthscales: np.ndarray) -> float:
+def _sq_diffs(X: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences D[k, i, j] = (X[i, k] - X[j, k])^2."""
+    diff = X.T[:, :, None] - X.T[:, None, :]
+    return diff * diff
+
+
+def _profiled_loglik(X, y, noise, process_variance: float, lengthscales: np.ndarray,
+                     sq_diffs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Profiled log-likelihood and its gradient in (log process_variance,
+    log lengthscales); ``sq_diffs`` is ``_sq_diffs(X)``.
+
+    With u = C^-1 1, a = C^-1 (y - b0 1) and W = a a' - C^-1 + u u' / (1'u),
+    dL/dtheta = sum(W * dC/dtheta) / 2, where dC/dlog l_k = K * D_k / l_k^2
+    and dC/dlog process_variance = K plus the jitter, which scales with it.
+    """
     S = y.size
-    cho, _ = _gram_cholesky(X, noise, process_variance, lengthscales)
+    K = _kernel_matrix(process_variance, lengthscales, X)
+    cho, jitter = _factor_gram(K, noise, process_variance)
     rhs = np.empty((S, 2))
     rhs[:, 0] = 1.0
     rhs[:, 1] = y
     solved = cho_solve(cho, rhs, check_finite=False)
-    denom = float(np.sum(solved[:, 0]))
+    u = solved[:, 0]
+    denom = float(np.sum(u))
     one_Cinv_y = float(np.sum(solved[:, 1]))
     y_Cinv_y = float(y @ solved[:, 1])
     # (y - b0)' C^{-1} (y - b0) with b0 profiled out
     quad = y_Cinv_y - one_Cinv_y**2 / denom
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    return -0.5 * (quad + logdet + math.log(denom) + (S - 1) * _LOG_2PI)
+    value = -0.5 * (quad + logdet + math.log(denom) + (S - 1) * _LOG_2PI)
+
+    a = solved[:, 1] - u * (one_Cinv_y / denom)
+    W = np.outer(a, a) - cho_solve(cho, np.eye(S), check_finite=False)
+    W += np.outer(u, u / denom)
+    WK = W * K
+    grad = np.empty(lengthscales.size + 1)
+    grad[0] = 0.5 * (float(np.sum(WK)) + jitter * float(np.trace(W)))
+    grad[1:] = 0.5 * (sq_diffs.reshape(lengthscales.size, -1) @ WK.reshape(-1)) / lengthscales**2
+    return value, grad
 
 
 def log_marginal_likelihood(dataset: GpDataset, params: KernelParams) -> float:
@@ -234,8 +268,9 @@ def log_marginal_likelihood(dataset: GpDataset, params: KernelParams) -> float:
     flat prior; the noise diagonal is taken from the dataset."""
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
-    return _profiled_loglik(dataset.locations(), dataset.means(), dataset.variances(),
-                            params.process_variance, params.lengthscales)
+    X = dataset.locations()
+    return _profiled_loglik(X, dataset.means(), dataset.variances(), params.process_variance,
+                            params.lengthscales, _sq_diffs(X))[0]
 
 
 def _default_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
@@ -258,8 +293,9 @@ def fit_hyperparameters(
     rng=None,
     warm_start: KernelParams | None = None,
 ) -> KernelParams:
-    """Maximum-likelihood kernel hyperparameters via multi-start Nelder-Mead
-    over the box of ``_default_bounds``.
+    """Maximum-likelihood kernel hyperparameters via multi-start L-BFGS-B on
+    the analytic gradient of the profiled likelihood, in log space over the
+    box of ``_default_bounds``.
 
     A cold fit searches from the box center and ``_COLD_STARTS - 1`` points
     drawn from ``rng``; a warm fit from the warm start clipped to the box,
@@ -283,13 +319,17 @@ def fit_hyperparameters(
         raise ValueError("hyperparameter estimation needs at least 2 observations")
     rng = np.random.default_rng(rng if rng is not None else 0)
     X, y, noise = dataset.locations(), dataset.means(), dataset.variances()
+    sq_diffs = _sq_diffs(X)
     log_box = [(math.log(lo), math.log(hi)) for lo, hi in _default_bounds(X, y)]
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            return -_profiled_loglik(X, y, noise, math.exp(theta[0]), np.exp(theta[1:]))
+            value, grad = _profiled_loglik(X, y, noise, math.exp(theta[0]), np.exp(theta[1:]),
+                                           sq_diffs)
         except GpFitError:
-            return np.inf
+            # finite and flat, so that the line search backs off from here
+            return _FAILED_FIT, np.zeros_like(theta)
+        return -value, -grad
 
     starts = []
     if warm_start is not None:
@@ -299,16 +339,10 @@ def fit_hyperparameters(
     for _ in range((_COLD_STARTS if warm_start is None else _WARM_STARTS) - len(starts)):
         starts.append(np.array([rng.uniform(lo, hi) for lo, hi in log_box]))
 
-    best_theta, best_val = None, np.inf
+    best_theta, best_val = None, _FAILED_FIT
     for theta0 in starts:
-        res = minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            bounds=log_box,
-            options={"xatol": 1e-5, "fatol": 1e-7, "maxiter": 200 * theta0.size},
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
+        res = minimize(objective, theta0, method="L-BFGS-B", jac=True, bounds=log_box)
+        if res.fun < best_val:
             best_theta, best_val = res.x, res.fun
     if best_theta is None:
         raise GpFitError("no positive-definite covariance found at any restart; "

@@ -2,14 +2,18 @@
 
 Everything here derives from first principles (dominance definitions, raw
 density integration, exhaustive pairwise scans) rather than from the
-package's closed-form code paths.
+package's closed-form code paths. The one exception is the fit reference,
+which searches the package's likelihood value without its gradient.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import dblquad
+from scipy.optimize import minimize
 
+from moeeqi.gp import (_COLD_STARTS, _WARM_STARTS, GpFitError, KernelParams, _default_bounds,
+                       _profiled_loglik, _sq_diffs)
 from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront, _cdf_mass, _pdf_term
 
 
@@ -178,3 +182,37 @@ def random_front(rng, size, lo=-2.0, hi=2.0):
     q1 += np.arange(size) * 1e-3  # enforce strictness under duplicates
     q2 -= np.arange(size) * 1e-3
     return ParetoFront([FrontPoint(float(a), float(b)) for a, b in zip(q1, q2)])
+
+
+def nelder_mead_fit_reference(dataset, rng=None, warm_start=None):
+    """Derivative-free form of ``moeeqi.gp.fit_hyperparameters``: multi-start
+    Nelder-Mead on the profiled likelihood value alone, from the same start
+    points (box center and draws; a warm start clipped to the box first)."""
+    rng = np.random.default_rng(rng if rng is not None else 0)
+    X, y, noise = dataset.locations(), dataset.means(), dataset.variances()
+    sq_diffs = _sq_diffs(X)
+    log_box = [(math.log(lo), math.log(hi)) for lo, hi in _default_bounds(X, y)]
+
+    def objective(theta):
+        try:
+            return -_profiled_loglik(X, y, noise, math.exp(theta[0]), np.exp(theta[1:]), sq_diffs)[0]
+        except GpFitError:
+            return np.inf
+
+    starts = []
+    if warm_start is not None:
+        theta_w = np.log(np.r_[warm_start.process_variance, warm_start.lengthscales])
+        starts.append(np.clip(theta_w, [b[0] for b in log_box], [b[1] for b in log_box]))
+    starts.append(np.array([0.5 * (lo + hi) for lo, hi in log_box]))
+    for _ in range((_COLD_STARTS if warm_start is None else _WARM_STARTS) - len(starts)):
+        starts.append(np.array([rng.uniform(lo, hi) for lo, hi in log_box]))
+
+    best_theta, best_val = None, np.inf
+    for theta0 in starts:
+        res = minimize(objective, theta0, method="Nelder-Mead", bounds=log_box,
+                       options={"xatol": 1e-5, "fatol": 1e-7, "maxiter": 200 * theta0.size})
+        if np.isfinite(res.fun) and res.fun < best_val:
+            best_theta, best_val = res.x, res.fun
+    if best_theta is None:
+        raise GpFitError("no positive-definite covariance found at any restart")
+    return KernelParams(math.exp(best_theta[0]), np.exp(best_theta[1:]))

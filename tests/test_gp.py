@@ -19,9 +19,11 @@ from moeeqi.gp import (
     std_normal_quantile,
 )
 import moeeqi.gp
-from moeeqi.gp import _default_bounds, _gram_cholesky, _kernel_matrix
+from moeeqi import RunConfig, run
+from moeeqi.gp import _default_bounds, _gram_cholesky, _kernel_matrix, _profiled_loglik, _sq_diffs
+from moeeqi.problems import toy_problem
 
-from _oracles import kernel_eval
+from _oracles import kernel_eval, nelder_mead_fit_reference
 
 _ND = NormalDist()  # independent stdlib implementation used as oracle
 
@@ -366,6 +368,100 @@ class TestFit:
         ds = GpDataset([NoisyObservation([0.0], 1.0, 0.1)])
         with pytest.raises(ValueError):
             fit_hyperparameters(ds, rng=0)
+
+
+class TestFitFailures:
+    """Whatever the data, a fit returns finite parameters or raises GpFitError."""
+
+    @staticmethod
+    def _finite_or_fit_error(ds):
+        try:
+            fitted = fit_hyperparameters(ds, rng=0)
+        except GpFitError:
+            return
+        assert math.isfinite(fitted.process_variance)
+        assert np.all(np.isfinite(fitted.lengthscales))
+
+    def test_near_duplicate_locations_without_noise(self):
+        X = np.array([[0.0, 0.0], [1e-9, 0.0], [0.7, 0.6], [0.4, 0.9]])
+        self._finite_or_fit_error(GpDataset([NoisyObservation(x, float(np.sum(x)), 0.0) for x in X]))
+
+    def test_two_points(self):
+        self._finite_or_fit_error(GpDataset([NoisyObservation([0.1], 1.0, 0.01),
+                                             NoisyObservation([0.8], -0.5, 0.02)]))
+
+    def test_unfactorable_region_is_avoided(self, monkeypatch):
+        # Every covariance with process variance above the response variance
+        # fails to factor; the fit must settle below it.
+        factor = moeeqi.gp._factor_gram
+        ds = _dataset(np.random.default_rng(20), 8, 2)
+        cap = float(np.var(ds.means()))
+
+        def failing_above_cap(K, noise, process_variance):
+            if process_variance > cap:
+                raise GpFitError("forced")
+            return factor(K, noise, process_variance)
+
+        monkeypatch.setattr(moeeqi.gp, "_factor_gram", failing_above_cap)
+        fitted = fit_hyperparameters(ds, rng=0)
+        assert fitted.process_variance <= cap
+        assert np.all(np.isfinite(fitted.lengthscales))
+
+    def test_no_factorable_start_raises(self, monkeypatch):
+        def failing(K, noise, process_variance):
+            raise GpFitError("forced")
+
+        monkeypatch.setattr(moeeqi.gp, "_factor_gram", failing)
+        with pytest.raises(GpFitError):
+            fit_hyperparameters(_dataset(np.random.default_rng(21), 5, 1), rng=0)
+
+
+@pytest.mark.parametrize("seed, dim, constant_col", [(0, 1, None), (1, 2, None), (2, 3, None),
+                                                     (3, 3, 1)])
+def test_likelihood_gradient_matches_central_differences(seed, dim, constant_col):
+    rng = np.random.default_rng(seed)
+    ds = _dataset(rng, 12, dim)
+    X = ds.locations()
+    if constant_col is not None:
+        X[:, constant_col] = 0.3  # a fixed_coords coordinate
+    y, noise, D = ds.means(), ds.variances(), _sq_diffs(X)
+    theta = np.log(np.r_[rng.uniform(0.3, 3.0), rng.uniform(0.3, 2.0, size=dim)])
+
+    def loglik(t):
+        return _profiled_loglik(X, y, noise, math.exp(t[0]), np.exp(t[1:]), D)
+
+    value, grad = loglik(theta)
+    assert value == log_marginal_likelihood(
+        GpDataset([NoisyObservation(X[j], y[j], noise[j]) for j in range(len(y))]),
+        KernelParams(math.exp(theta[0]), np.exp(theta[1:])))
+    h = 1e-6
+    fd = np.array([(loglik(theta + h * e)[0] - loglik(theta - h * e)[0]) / (2 * h)
+                   for e in np.eye(dim + 1)])
+    scale = max(1.0, float(np.max(np.abs(fd))))
+    assert np.all(np.abs(grad - fd) <= 1e-5 * scale)
+    if constant_col is not None:
+        assert grad[1 + constant_col] == 0.0
+
+
+@pytest.mark.parametrize("overrides", [dict(seed=3), dict(seed=6, fixed_coords={1: 0.0})])
+def test_fit_likelihood_no_worse_than_nelder_mead(monkeypatch, overrides):
+    recorded = []
+    fit = moeeqi.gp.fit_hyperparameters
+
+    def recording(dataset, rng=None, warm_start=None):
+        params = fit(dataset, rng=rng, warm_start=warm_start)
+        recorded.append((dataset, rng, warm_start, params))
+        return params
+
+    monkeypatch.setattr(moeeqi.gp, "fit_hyperparameters", recording)
+    config = RunConfig(beta=0.7, n_mc=6, n_iter=4, grid_resolution=15, initial_design_size=4,
+                       **overrides)
+    run(toy_problem(0.5), config)
+    assert len(recorded) == 10
+    for dataset, rng, warm_start, params in recorded:
+        reference = nelder_mead_fit_reference(dataset, rng=rng, warm_start=warm_start)
+        assert (log_marginal_likelihood(dataset, params)
+                >= log_marginal_likelihood(dataset, reference) - 1e-6)
 
 
 def test_factorize_raises_on_indefinite_matrix():
