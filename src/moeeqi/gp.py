@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import erfc, ndtri
 
@@ -38,6 +38,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # failure its diagonal is inflated by process_variance * 1e-8 * step for each
 # step in turn (up to 1e-4 relative) until the Cholesky succeeds.
 _JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
+
+# Rows of candidates evaluated together by the grid posterior and the
+# criterion: an (n, S) kernel block and its strip terms stay cache-sized.
+_ROW_BLOCK = 4096
 
 _COLD_STARTS = 5  # L-BFGS-B searches of a fit without a warm start
 _WARM_STARTS = 3  # a warm start from the previous estimate converges quickly
@@ -388,13 +392,17 @@ class GpEmulator:
         self._lb, self._span = _unit_box(control_bounds, dataset.dim)
         X = self.scale(dataset.locations())
         y = dataset.means()
-        self._cho, self.jitter_used = _gram_cholesky(X, dataset.variances(), params.process_variance,
-                                                     params.lengthscales)
+        cho, self.jitter_used = _gram_cholesky(X, dataset.variances(), params.process_variance,
+                                               params.lengthscales)
         ones = np.ones(len(dataset))
-        self._Cinv_one = cho_solve(self._cho, ones, check_finite=False)
-        self._one_Cinv_one = float(ones @ self._Cinv_one)
-        self.beta0 = float(self._Cinv_one @ y) / self._one_Cinv_one
-        self._alpha = cho_solve(self._cho, y - self.beta0, check_finite=False)
+        Cinv_one = cho_solve(cho, ones, check_finite=False)
+        self._one_Cinv_one = float(ones @ Cinv_one)
+        self.beta0 = float(Cinv_one @ y) / self._one_Cinv_one
+        # k @ proj gives k'C^-1(y - b0 1), k'C^-1 1 and L^-1 k in one product,
+        # with C = L L'; the data reduction k'C^-1 k is |L^-1 k|^2.
+        L_inv = solve_triangular(cho[0], np.eye(len(dataset)), lower=True, check_finite=False)
+        self._proj = np.column_stack(
+            [cho_solve(cho, y - self.beta0, check_finite=False), Cinv_one, L_inv.T])
         self._X = X
 
     @classmethod
@@ -424,16 +432,24 @@ class GpEmulator:
         estimating the constant trend. Accepts a single point (shape (v,))
         or a stack of points (shape (n, v)); returns floats or arrays
         accordingly. Round-off is clamped so variances are never negative.
+        A stack is evaluated ``_ROW_BLOCK`` rows at a time: one kernel block
+        and one product with the cached projection each.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         Xq = self.scale(np.atleast_2d(x))
-        k = _kernel_matrix(self.params.process_variance, self.params.lengthscales, Xq, self._X)  # (n, S)
-        mean = self.beta0 + k @ self._alpha
-        Cinv_k = cho_solve(self._cho, k.T, check_finite=False)  # (S, n)
-        quad = np.einsum("ij,ji->i", k, Cinv_k)
-        h = 1.0 - k @ self._Cinv_one
-        var = self.params.process_variance - quad + h * h / self._one_Cinv_one
+        mean = np.empty(Xq.shape[0])
+        var = np.empty(Xq.shape[0])
+        for lo in range(0, Xq.shape[0], _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            k = _kernel_matrix(self.params.process_variance, self.params.lengthscales, Xq[rows],
+                               self._X)  # (block, S)
+            kp = k @ self._proj
+            h = 1.0 - kp[:, 1]
+            w = kp[:, 2:]
+            mean[rows] = self.beta0 + kp[:, 0]
+            var[rows] = (self.params.process_variance - np.einsum("ij,ij->i", w, w)
+                         + h * h / self._one_Cinv_one)
         np.maximum(var, 0.0, out=var)
         if single:
             return float(mean[0]), float(var[0])

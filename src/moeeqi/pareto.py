@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .acquisition import QuantilePosterior
-from .gp import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .gp import _ROW_BLOCK, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 __all__ = [
     "FrontPoint",
@@ -171,22 +171,49 @@ def build_front(
 # ---------------------------------------------------------------------------
 
 
-def _cdf_mass(c: float, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """P[X <= c] for X ~ N(mu, sd^2), elementwise; sd == 0 degenerates to the
-    step indicator (0.5 exactly at the boundary)."""
-    step = np.where(mu < c, 1.0, np.where(mu > c, 0.0, 0.5))
-    safe = np.where(sd > 0.0, sd, 1.0)
-    with np.errstate(invalid="ignore"):
-        smooth = std_normal_cdf((c - mu) / safe)
-    return np.where(sd > 0.0, smooth, step)
+def _edge_terms(c: float, mu: np.ndarray, sd: np.ndarray, pos: np.ndarray, safe: np.ndarray,
+                degenerate: bool):
+    """P[X <= c] and sd * phi((c - mu) / sd) for X ~ N(mu, sd^2), elementwise,
+    with ``pos`` = sd > 0 and ``safe`` = sd where positive, else 1. An sd of
+    0 gives the step indicator (0.5 exactly at the boundary) and density 0;
+    an infinite edge gives the constants these equal, 0 or 1 and 0."""
+    if np.isinf(c):
+        return (1.0 if c > 0 else 0.0), 0.0
+    z = (c - mu) / safe
+    cdf = std_normal_cdf(z)
+    pdf = sd * std_normal_pdf(z)
+    if degenerate:
+        step = np.where(mu < c, 1.0, np.where(mu > c, 0.0, 0.5))
+        cdf = np.where(pos, cdf, step)
+        pdf = np.where(pos, pdf, 0.0)
+    return cdf, pdf
 
 
-def _pdf_term(c: float, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """sd * phi((c - mu) / sd), elementwise, vanishing when sd == 0."""
-    safe = np.where(sd > 0.0, sd, 1.0)
-    with np.errstate(invalid="ignore"):
-        val = sd * std_normal_pdf((c - mu) / safe)
-    return np.where(sd > 0.0, val, 0.0)
+def _block_terms(edges: np.ndarray, tops: np.ndarray, mu1, sd1, mu2, sd2):
+    """(mass, num1, num2) of one block of candidates, strip by strip."""
+    pos1, pos2 = sd1 > 0.0, sd2 > 0.0
+    safe1, safe2 = np.where(pos1, sd1, 1.0), np.where(pos2, sd2, 1.0)
+    deg1, deg2 = not pos1.all(), not pos2.all()
+    mass = np.zeros_like(mu1)
+    num1 = np.zeros_like(mu1)
+    num2 = np.zeros_like(mu1)
+    # Each strip's right edge is the next one's left edge, and a top may
+    # repeat the one before it: evaluate each once.
+    cdf_a, pdf_a = _edge_terms(edges[0], mu1, sd1, pos1, safe1, deg1)
+    prev_top = None
+    for b1, top in zip(edges[1:], tops):
+        cdf_b, pdf_b = _edge_terms(b1, mu1, sd1, pos1, safe1, deg1)
+        mass1 = cdf_b - cdf_a
+        mom1 = mu1 * mass1 - (pdf_b - pdf_a)
+        if top != prev_top:
+            mass2, pdf2 = _edge_terms(top, mu2, sd2, pos2, safe2, deg2)
+            mom2 = mu2 * mass2 - pdf2
+            prev_top = top
+        mass += mass1 * mass2
+        num1 += mom1 * mass2
+        num2 += mass1 * mom2
+        cdf_a, pdf_a = cdf_b, pdf_b
+    return mass, num1, num2
 
 
 def _improvement_terms(front: ParetoFront, mu1, sd1, mu2, sd2, mode: ImprovementMode):
@@ -194,7 +221,8 @@ def _improvement_terms(front: ParetoFront, mu1, sd1, mu2, sd2, mode: Improvement
 
     Vectorized over candidates: each of mu1, sd1, mu2, sd2 may be a scalar or
     an (n,) array. Returns (mass, num1, num2) where num_j integrates q_j over
-    the region against the product density.
+    the region against the product density. Candidates are taken
+    ``_ROW_BLOCK`` at a time.
     """
     if len(front) == 0:
         raise ValueError("front is empty")
@@ -208,22 +236,13 @@ def _improvement_terms(front: ParetoFront, mu1, sd1, mu2, sd2, mode: Improvement
     edges = np.r_[-np.inf, t, np.inf]
     tops = np.r_[np.inf, z[1:] if mode is ImprovementMode.AGGRESSIVE else z[:-1], z[-1]]
 
-    mass = np.zeros_like(mu1)
-    num1 = np.zeros_like(mu1)
-    num2 = np.zeros_like(mu1)
-    # Each strip's right edge is the next one's left edge: evaluate it once.
-    cdf_a, pdf_a = _cdf_mass(edges[0], mu1, sd1), _pdf_term(edges[0], mu1, sd1)
-    for b1, top in zip(edges[1:], tops):
-        cdf_b, pdf_b = _cdf_mass(b1, mu1, sd1), _pdf_term(b1, mu1, sd1)
-        mass1 = cdf_b - cdf_a
-        mom1 = mu1 * mass1 - (pdf_b - pdf_a)
-        mass2 = _cdf_mass(top, mu2, sd2)
-        mom2 = mu2 * mass2 - _pdf_term(top, mu2, sd2)
-        mass += mass1 * mass2
-        num1 += mom1 * mass2
-        num2 += mass1 * mom2
-        cdf_a, pdf_a = cdf_b, pdf_b
-    return mass, num1, num2
+    cols = [a.ravel() for a in (mu1, sd1, mu2, sd2)]
+    out = np.empty((3, cols[0].size))
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, out.shape[1], _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            out[:, rows] = _block_terms(edges, tops, *(c[rows] for c in cols))
+    return tuple(o.reshape(mu1.shape) for o in out)
 
 
 def probability_of_improvement(
@@ -273,6 +292,9 @@ def moeeqi_scores(
     c2 = num2 / safe
     t = front.q1s()
     z = front.q2s()
-    d2 = (c1[:, None] - t[None, :]) ** 2 + (c2[:, None] - z[None, :]) ** 2
-    dist = np.sqrt(np.min(d2, axis=1))
+    dist = np.empty_like(mass)
+    for lo in range(0, mass.size, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        d2 = (c1[rows, None] - t[None, :]) ** 2 + (c2[rows, None] - z[None, :]) ** 2
+        dist[rows] = np.sqrt(np.min(d2, axis=1))
     return np.where(pos, mass * dist, 0.0)

@@ -289,11 +289,16 @@ def intervention_cost_parts(p: CostParams) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _maxpro_terms(rows: np.ndarray, design: np.ndarray) -> np.ndarray:
+    # 1 / prod_k (r_k - x_lk)^2 for each row r of ``rows`` and point x_l
+    diff = rows[:, None, :] - design[None, :, :]
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.prod(diff * diff, axis=2)
+
+
 def _maxpro_criterion(design: np.ndarray) -> float:
     # sum over point pairs of 1 / prod_k (x_jk - x_lk)^2; lower is better
-    diff = design[:, None, :] - design[None, :, :]
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / np.prod(diff * diff, axis=2)
+    inv = _maxpro_terms(design, design)
     iu = np.triu_indices(design.shape[0], k=1)
     return float(np.sum(inv[iu]))
 
@@ -323,22 +328,33 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
     v = bounds.shape[0]
     rng = np.random.default_rng(rng)
 
+    # The exchange keeps the pair terms of _maxpro_criterion: a swap of rows
+    # i and j changes only their rows and columns, and the criterion is
+    # summed over the upper triangle in the same order as there.
+    upper = np.flatnonzero(np.triu(np.ones((s, s), dtype=bool), k=1))
     best, best_crit = None, np.inf
     for _ in range(_DESIGN_RESTARTS):
         design = _latin_hypercube(s, v, rng)
         crit = _maxpro_criterion(design)
+        inv = _maxpro_terms(design, design)
         for _ in range(_DESIGN_MAX_SWEEPS):
             improved = False
             for k in range(v):
                 for i in range(s - 1):
                     for j in range(i + 1, s):
                         design[i, k], design[j, k] = design[j, k], design[i, k]
-                        trial = _maxpro_criterion(design)
+                        old_i, old_j = inv[i].copy(), inv[j].copy()
+                        new_i, new_j = _maxpro_terms(design[[i, j]], design)
+                        inv[i] = inv[:, i] = new_i
+                        inv[j] = inv[:, j] = new_j
+                        trial = float(np.sum(inv.take(upper)))
                         if trial < crit:
                             crit = trial
                             improved = True
                         else:
                             design[i, k], design[j, k] = design[j, k], design[i, k]
+                            inv[i] = inv[:, i] = old_i
+                            inv[j] = inv[:, j] = old_j
             if not improved:
                 break
         if crit < best_crit:

@@ -2,19 +2,27 @@
 
 Everything here derives from first principles (dominance definitions, raw
 density integration, exhaustive pairwise scans) rather than from the
-package's closed-form code paths. The one exception is the fit reference,
-which searches the package's likelihood value without its gradient.
+package's closed-form code paths. The exceptions are the plain forms of
+fast paths: the fit reference searches the package's likelihood value
+without its gradient, the posterior reference solves against the Cholesky
+factor per call, the strip reference evaluates both edges of every strip
+through one-edge helpers, and the design reference recomputes the whole
+MaxPro criterion on every trial swap.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import dblquad
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from moeeqi.gp import (_COLD_STARTS, _WARM_STARTS, GpFitError, KernelParams, _default_bounds,
-                       _profiled_loglik, _sq_diffs)
-from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront, _cdf_mass, _pdf_term
+                       _gram_cholesky, _kernel_matrix, _profiled_loglik, _sq_diffs, _unit_box,
+                       std_normal_cdf, std_normal_pdf)
+from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront
+from moeeqi.problems import (_DESIGN_MAX_SWEEPS, _DESIGN_RESTARTS, _latin_hypercube,
+                             _maxpro_criterion)
 
 
 def brute_force_front(points):
@@ -105,6 +113,24 @@ def _strips(front, mode):
             top = z[j] if aggressive else z[j - 1]
         out.append((a1, b1, top))
     return out
+
+
+def _cdf_mass(c: float, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """P[X <= c] for X ~ N(mu, sd^2), elementwise; sd == 0 degenerates to the
+    step indicator (0.5 exactly at the boundary)."""
+    step = np.where(mu < c, 1.0, np.where(mu > c, 0.0, 0.5))
+    safe = np.where(sd > 0.0, sd, 1.0)
+    with np.errstate(invalid="ignore"):
+        smooth = std_normal_cdf((c - mu) / safe)
+    return np.where(sd > 0.0, smooth, step)
+
+
+def _pdf_term(c: float, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """sd * phi((c - mu) / sd), elementwise, vanishing when sd == 0."""
+    safe = np.where(sd > 0.0, sd, 1.0)
+    with np.errstate(invalid="ignore"):
+        val = sd * std_normal_pdf((c - mu) / safe)
+    return np.where(sd > 0.0, val, 0.0)
 
 
 def improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode):
@@ -216,3 +242,55 @@ def nelder_mead_fit_reference(dataset, rng=None, warm_start=None):
     if best_theta is None:
         raise GpFitError("no positive-definite covariance found at any restart")
     return KernelParams(math.exp(best_theta[0]), np.exp(best_theta[1:]))
+
+
+def posterior_reference(dataset, params, x, control_bounds=None):
+    """Posterior mean and variance at the (n, v) stack ``x`` in the plain
+    form: solves against the Cholesky factor of the Gram matrix for all
+    candidates at once, with no cached projection and no row blocks."""
+    lb, span = _unit_box(control_bounds, dataset.dim)
+    X = (dataset.locations() - lb) / span
+    y = dataset.means()
+    cho, _ = _gram_cholesky(X, dataset.variances(), params.process_variance, params.lengthscales)
+    ones = np.ones(len(dataset))
+    Cinv_one = cho_solve(cho, ones, check_finite=False)
+    one_Cinv_one = float(ones @ Cinv_one)
+    beta0 = float(Cinv_one @ y) / one_Cinv_one
+    alpha = cho_solve(cho, y - beta0, check_finite=False)
+    Xq = (np.atleast_2d(np.asarray(x, dtype=float)) - lb) / span
+    k = _kernel_matrix(params.process_variance, params.lengthscales, Xq, X)  # (n, S)
+    mean = beta0 + k @ alpha
+    Cinv_k = cho_solve(cho, k.T, check_finite=False)  # (S, n)
+    quad = np.einsum("ij,ji->i", k, Cinv_k)
+    h = 1.0 - k @ Cinv_one
+    var = params.process_variance - quad + h * h / one_Cinv_one
+    return mean, np.maximum(var, 0.0)
+
+
+def initial_design_reference(s, bounds, rng):
+    """``moeeqi.problems.initial_design`` with the whole MaxPro criterion
+    recomputed after every trial swap."""
+    bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
+    v = bounds.shape[0]
+    rng = np.random.default_rng(rng)
+    best, best_crit = None, np.inf
+    for _ in range(_DESIGN_RESTARTS):
+        design = _latin_hypercube(s, v, rng)
+        crit = _maxpro_criterion(design)
+        for _ in range(_DESIGN_MAX_SWEEPS):
+            improved = False
+            for k in range(v):
+                for i in range(s - 1):
+                    for j in range(i + 1, s):
+                        design[i, k], design[j, k] = design[j, k], design[i, k]
+                        trial = _maxpro_criterion(design)
+                        if trial < crit:
+                            crit = trial
+                            improved = True
+                        else:
+                            design[i, k], design[j, k] = design[j, k], design[i, k]
+            if not improved:
+                break
+        if crit < best_crit:
+            best, best_crit = design.copy(), crit
+    return bounds[:, 0] + best * (bounds[:, 1] - bounds[:, 0])

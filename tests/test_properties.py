@@ -10,10 +10,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_front, front_metrics_reference, improvement_terms_reference, random_front
+from _oracles import (brute_force_front, front_metrics_reference, improvement_terms_reference,
+                      initial_design_reference, posterior_reference, random_front)
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
-from moeeqi.gp import GpDataset, GpEmulator, KernelParams, NoisyObservation, log_marginal_likelihood
+from moeeqi.gp import (_ROW_BLOCK, GpDataset, GpEmulator, KernelParams, NoisyObservation,
+                       log_marginal_likelihood)
 from moeeqi.optimizer import RunConfig, front_metrics
 from moeeqi.pareto import FrontPoint, ImprovementMode, _improvement_terms, build_front, moeeqi, moeeqi_scores
 from moeeqi.problems import initial_design
@@ -147,6 +149,46 @@ def test_improvement_terms_equal_the_two_edge_reference(seed, size, mode):
         assert np.array_equal(g, w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12))
+def test_blocked_posterior_matches_the_cho_solve_reference(seed, dim, size):
+    rng = np.random.default_rng(seed)
+    _, _, params, _, ds = _random_gp_data(rng, dim, size)
+    bounds = np.array([[-1.0, 2.0]] * dim)
+    em = GpEmulator(ds, params, control_bounds=bounds)
+    Xq = rng.uniform(-1.5, 2.5, size=(2 * _ROW_BLOCK + 17, dim))  # three blocks, the last short
+    Xq[:size] = ds.locations()
+    mean, var = em.posterior(Xq)
+    want_mean, want_var = posterior_reference(ds, params, Xq, control_bounds=bounds)
+    assert np.all(np.abs(mean - want_mean) <= 1e-12 * np.maximum(1.0, np.abs(want_mean)))
+    assert np.all(np.abs(var - want_var) <= 1e-12 * params.process_variance)
+    for i in (0, _ROW_BLOCK - 1, _ROW_BLOCK, len(Xq) - 1):
+        m, v = em.posterior(Xq[i])
+        assert abs(m - mean[i]) <= 1e-12 * max(1.0, abs(mean[i]))
+        assert abs(v - var[i]) <= 1e-12 * params.process_variance
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from(list(ImprovementMode)))
+def test_blocked_improvement_terms_equal_the_two_edge_reference(seed, size, mode):
+    rng = np.random.default_rng(seed)
+    front = random_front(rng, size)
+    n = 2 * _ROW_BLOCK + 17  # two full blocks and a short tail
+    mu1, mu2 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+    sd1, sd2 = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.5, n)
+    # Degenerate candidates and means on a strip edge or top in the first
+    # and the last block; the middle block has no zero sd at all.
+    for lo in (0, n - 40):
+        sd1[lo:lo + 10] = 0.0
+        sd2[lo + 5:lo + 15] = 0.0
+        mu1[lo:lo + 20:2] = rng.choice(front.q1s(), 10)
+        mu2[lo + 1:lo + 20:2] = rng.choice(front.q2s(), 10)
+    got = _improvement_terms(front, mu1, sd1, mu2, sd2, mode)
+    want = improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from(list(ImprovementMode)))
 def test_moeeqi_scores_are_batch_invariant_and_non_negative(seed, size, mode):
@@ -190,6 +232,14 @@ def test_initial_design_is_a_latin_hypercube(seed, size, dim):
     assert design.shape == (size, dim)
     for k in range(dim):
         assert sorted(np.floor(design[:, k] * size).astype(int)) == list(range(size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
+def test_initial_design_equals_the_full_recompute_reference(seed, size, dim):
+    bounds = [[-1.0, 2.0]] * dim
+    got = initial_design(size, bounds, np.random.default_rng(seed))
+    assert np.array_equal(got, initial_design_reference(size, bounds, np.random.default_rng(seed)))
 
 
 @settings(max_examples=300, deadline=None)

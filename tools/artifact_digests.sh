@@ -12,7 +12,9 @@
 # comparator and refit_hyperparameters false; run with a config that leans
 # on defaults and normalization (a whole float n_mc, null seed and
 # min_score, a list-form mode_schedule, no --seed); run on a toy problem
-# whose control_bounds are a sub-box of the default one; a 2-replicate study; and
+# whose control_bounds are a sub-box of the default one; run on an 80x80 grid
+# (6,400 candidates, more than one row block of the posterior and the
+# criterion); a 2-replicate study; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
 # (wall times) are not listed. Exits 1 without a listing unless some run's
 # observations.csv has a row with replications > 1.
@@ -63,6 +65,10 @@ cat >"$work/defaults.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10.0, "n_iter": 5, "grid_resolution": 40, "initial_design_size": 5,
  "seed": null, "min_score": null, "mode_schedule": [["non_aggressive", 2], ["aggressive", 3]]}
 JSON
+cat >"$work/grid80.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 80, "initial_design_size": 5,
+ "seed": 6}
+JSON
 cat >"$work/study.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 30, "initial_design_size": 5,
  "seed": 3, "truth_resolution": 200}
@@ -82,6 +88,7 @@ cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_m
 cli run --problem "$work/toy.json" --config "$work/defaults.json" --out "$out/run_defaults"
 cli run --problem "$work/toy_subbox.json" --config "$work/plain.json" --seed 5 \
     --out "$out/run_subbox"
+cli run --problem "$work/toy.json" --config "$work/grid80.json" --out "$out/run_grid80"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
 cli oracle --problem "$work/toy.json" --resolution 200 --out "$out/oracle/front.csv"
