@@ -9,6 +9,7 @@ point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -164,6 +165,11 @@ def merge_replicate(
             w_old = 1.0 / old.variance
             w_new = 1.0 / new_batch_var
             pooled_mean = (w_old * old.mean + w_new * new_batch_mean) / (w_old + w_new)
+            if not math.isfinite(pooled_mean):
+                # a variance so small that its precision, or the precision
+                # times the mean, overflows: the same weights, as variances
+                pooled_mean = ((old.mean * new_batch_var + new_batch_mean * old.variance)
+                               / (old.variance + new_batch_var))
             # 1 / (w_old + w_new) can round one ulp above old.variance.
             pooled_var = min(1.0 / (w_old + w_new), old.variance)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 from scipy.special import erfc, ndtri
 
@@ -30,6 +30,12 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_quantile",
 ]
+
+# The double-precision LAPACK routines that scipy's cho_factor, cho_solve and
+# solve_triangular end in, called with the same flags but without the
+# wrappers' per-call validation, which at a few dozen observations costs more
+# than the factorization itself; the results are bit-identical.
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -124,6 +130,11 @@ class NoisyObservation:
         self.location = as_point(self.location)
         self.mean = float(self.mean)
         self.variance = float(self.variance)
+        if not np.all(np.isfinite(self.location)):
+            raise ValueError(f"observation location must be finite, got {self.location}")
+        for field in ("mean", "variance"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"observation {field} must be finite, got {getattr(self, field)}")
         if self.variance < 0.0:
             raise ValueError("observation variance must be non-negative")
         if self.replications < 1:
@@ -204,8 +215,9 @@ def _gram_cholesky(X: np.ndarray, noise: np.ndarray, process_variance: float,
 
 
 def _factor_gram(K: np.ndarray, noise: np.ndarray, process_variance: float):
-    """Cholesky factor of K + diag(noise) and the jitter it needed; K is left
-    as it is, and the ladder resets only the diagonal between rungs."""
+    """Cholesky factor of K + diag(noise), as ``(L, True)`` with L lower and
+    the upper triangle not cleared, and the jitter it needed; K is left as it
+    is, and the ladder resets only the diagonal between rungs."""
     C = K.copy()
     diag = C.reshape(-1)[:: C.shape[0] + 1]  # strided view of the diagonal
     diag += noise
@@ -213,10 +225,9 @@ def _factor_gram(K: np.ndarray, noise: np.ndarray, process_variance: float):
     for step in _JITTER_STEPS:
         jitter = process_variance * 1e-8 * step
         np.add(base, jitter, out=diag)
-        try:
-            return cho_factor(C, lower=True, check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            continue
+        L, info = _potrf(C, lower=1, clean=0)
+        if info == 0:
+            return (L, True), jitter
     raise GpFitError("covariance matrix is not positive definite even with maximal "
                      "jitter; check for near-duplicate locations")
 
@@ -243,26 +254,28 @@ def _profiled_loglik(X, y, noise, process_variance: float, lengthscales: np.ndar
     """
     S = y.size
     K = _kernel_matrix(process_variance, lengthscales, X)
-    cho, jitter = _factor_gram(K, noise, process_variance)
+    (L, _), jitter = _factor_gram(K, noise, process_variance)
     rhs = np.empty((S, 2))
     rhs[:, 0] = 1.0
     rhs[:, 1] = y
-    solved = cho_solve(cho, rhs, check_finite=False)
+    solved = _potrs(L, rhs, lower=1)[0]
     u = solved[:, 0]
-    denom = float(np.sum(u))
-    one_Cinv_y = float(np.sum(solved[:, 1]))
-    y_Cinv_y = float(y @ solved[:, 1])
+    Cinv_y = solved[:, 1]
+    denom = float(u.sum())
+    one_Cinv_y = float(Cinv_y.sum())
+    y_Cinv_y = float(y @ Cinv_y)
     # (y - b0)' C^{-1} (y - b0) with b0 profiled out
     quad = y_Cinv_y - one_Cinv_y**2 / denom
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    logdet = 2.0 * float(np.log(L.diagonal()).sum())
     value = -0.5 * (quad + logdet + math.log(denom) + (S - 1) * _LOG_2PI)
 
-    a = solved[:, 1] - u * (one_Cinv_y / denom)
-    W = np.outer(a, a) - cho_solve(cho, np.eye(S), check_finite=False)
-    W += np.outer(u, u / denom)
+    a = Cinv_y - u * (one_Cinv_y / denom)
+    W = a[:, None] * a
+    W -= _potrs(L, np.eye(S), lower=1)[0]
+    W += u[:, None] * (u / denom)
     WK = W * K
     grad = np.empty(lengthscales.size + 1)
-    grad[0] = 0.5 * (float(np.sum(WK)) + jitter * float(np.trace(W)))
+    grad[0] = 0.5 * (float(WK.sum()) + jitter * float(W.trace()))
     grad[1:] = 0.5 * (sq_diffs.reshape(lengthscales.size, -1) @ WK.reshape(-1)) / lengthscales**2
     return value, grad
 
@@ -279,8 +292,13 @@ def log_marginal_likelihood(dataset: GpDataset, params: KernelParams) -> float:
 
 def _default_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """Search box for (process_variance, lengthscale_1, ..., lengthscale_v),
-    around the response variance and the per-coordinate location ranges."""
-    vy = float(np.var(y))
+    around the response variance and the per-coordinate location ranges;
+    responses whose spread overflows a double have no such box."""
+    with np.errstate(over="ignore"):
+        vy = float(np.var(y))
+    if not math.isfinite(1e3 * vy):
+        raise GpFitError(f"response variance is not finite, or too large for the search box "
+                         f"({vy:g}); rescale the objective")
     if vy <= 0.0:
         vy = 1.0
     bounds = [(1e-4 * vy, 1e3 * vy)]
@@ -392,17 +410,16 @@ class GpEmulator:
         self._lb, self._span = _unit_box(control_bounds, dataset.dim)
         X = self.scale(dataset.locations())
         y = dataset.means()
-        cho, self.jitter_used = _gram_cholesky(X, dataset.variances(), params.process_variance,
-                                               params.lengthscales)
+        (L, _), self.jitter_used = _gram_cholesky(X, dataset.variances(),
+                                                  params.process_variance, params.lengthscales)
         ones = np.ones(len(dataset))
-        Cinv_one = cho_solve(cho, ones, check_finite=False)
+        Cinv_one = _potrs(L, ones, lower=1)[0]
         self._one_Cinv_one = float(ones @ Cinv_one)
         self.beta0 = float(Cinv_one @ y) / self._one_Cinv_one
         # k @ proj gives k'C^-1(y - b0 1), k'C^-1 1 and L^-1 k in one product,
         # with C = L L'; the data reduction k'C^-1 k is |L^-1 k|^2.
-        L_inv = solve_triangular(cho[0], np.eye(len(dataset)), lower=True, check_finite=False)
-        self._proj = np.column_stack(
-            [cho_solve(cho, y - self.beta0, check_finite=False), Cinv_one, L_inv.T])
+        L_inv = _trtrs(L, np.eye(len(dataset)), lower=1)[0]
+        self._proj = np.column_stack([_potrs(L, y - self.beta0, lower=1)[0], Cinv_one, L_inv.T])
         self._X = X
 
     @classmethod

@@ -206,7 +206,8 @@ class ProblemSpec:
         """Run the simulator at ``xc`` over ``n`` environmental draws and
         aggregate into a Monte Carlo batch. The draws are sampled fresh from
         ``rng`` unless given (a batch shared by several points). The evaluator
-        must return a finite (n, 2) array."""
+        must return a finite (n, 2) array whose batch mean and variance are
+        finite too."""
         if draws is None:
             draws = sample_environment(self.env, n, rng)
         xc = np.asarray(xc, dtype=float)
@@ -215,7 +216,12 @@ class ProblemSpec:
             raise ValueError(f"evaluator returned shape {values.shape}, expected ({n}, 2)")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"evaluator returned non-finite values at control point {xc}")
-        return mc_aggregate(values.T)
+        with np.errstate(over="ignore"):
+            batch = mc_aggregate(values.T)
+        if not (np.all(np.isfinite(batch.means)) and np.all(np.isfinite(batch.variances))):
+            raise ValueError(f"evaluator output at control point {xc} overflows its batch "
+                             "mean or variance; rescale the objective")
+        return batch
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,22 @@ fast paths: the fit reference searches the package's likelihood value
 without its gradient, the posterior reference solves against the Cholesky
 factor per call, the strip reference evaluates both edges of every strip
 through one-edge helpers, and the design reference recomputes the whole
-MaxPro criterion on every trial swap.
+MaxPro criterion on every trial swap. The GP linear-algebra references are
+the same computations through scipy's validating wrappers (``cho_factor``,
+``cho_solve``, ``solve_triangular``) instead of the LAPACK routines behind
+them, so the package must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import dblquad
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
-from moeeqi.gp import (_COLD_STARTS, _WARM_STARTS, GpFitError, KernelParams, _default_bounds,
-                       _gram_cholesky, _kernel_matrix, _profiled_loglik, _sq_diffs, _unit_box,
-                       std_normal_cdf, std_normal_pdf)
+from moeeqi.gp import (_COLD_STARTS, _JITTER_STEPS, _LOG_2PI, _WARM_STARTS, GpFitError,
+                       KernelParams, _default_bounds, _gram_cholesky, _kernel_matrix,
+                       _profiled_loglik, _sq_diffs, _unit_box, std_normal_cdf, std_normal_pdf)
 from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront
 from moeeqi.problems import (_DESIGN_MAX_SWEEPS, _DESIGN_RESTARTS, _latin_hypercube,
                              _maxpro_criterion)
@@ -294,3 +297,63 @@ def initial_design_reference(s, bounds, rng):
         if crit < best_crit:
             best, best_crit = design.copy(), crit
     return bounds[:, 0] + best * (bounds[:, 1] - bounds[:, 0])
+
+
+def factor_gram_reference(K, noise, process_variance):
+    """``moeeqi.gp._factor_gram`` through ``cho_factor``: the same jitter
+    ladder, a failed rung seen as ``LinAlgError``."""
+    C = K.copy()
+    diag = C.reshape(-1)[:: C.shape[0] + 1]
+    diag += noise
+    base = diag.copy()
+    for step in _JITTER_STEPS:
+        jitter = process_variance * 1e-8 * step
+        np.add(base, jitter, out=diag)
+        try:
+            return cho_factor(C, lower=True, check_finite=False), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise GpFitError("covariance matrix is not positive definite even with maximal jitter")
+
+
+def profiled_loglik_reference(X, y, noise, process_variance, lengthscales, sq_diffs):
+    """``moeeqi.gp._profiled_loglik`` through ``cho_solve``, with the
+    arithmetic in the same order."""
+    S = y.size
+    K = _kernel_matrix(process_variance, lengthscales, X)
+    cho, jitter = factor_gram_reference(K, noise, process_variance)
+    rhs = np.empty((S, 2))
+    rhs[:, 0] = 1.0
+    rhs[:, 1] = y
+    solved = cho_solve(cho, rhs, check_finite=False)
+    u = solved[:, 0]
+    denom = float(np.sum(u))
+    one_Cinv_y = float(np.sum(solved[:, 1]))
+    y_Cinv_y = float(y @ solved[:, 1])
+    quad = y_Cinv_y - one_Cinv_y**2 / denom
+    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    value = -0.5 * (quad + logdet + math.log(denom) + (S - 1) * _LOG_2PI)
+    a = solved[:, 1] - u * (one_Cinv_y / denom)
+    W = np.outer(a, a) - cho_solve(cho, np.eye(S), check_finite=False)
+    W += np.outer(u, u / denom)
+    WK = W * K
+    grad = np.empty(lengthscales.size + 1)
+    grad[0] = 0.5 * (float(np.sum(WK)) + jitter * float(np.trace(W)))
+    grad[1:] = 0.5 * (sq_diffs.reshape(lengthscales.size, -1) @ WK.reshape(-1)) / lengthscales**2
+    return value, grad
+
+
+def emulator_projection_reference(dataset, params, control_bounds=None):
+    """``GpEmulator``'s cached ``(_proj, beta0, jitter_used)`` through
+    ``cho_solve`` and ``solve_triangular``."""
+    lb, span = _unit_box(control_bounds, dataset.dim)
+    X = (dataset.locations() - lb) / span
+    y = dataset.means()
+    K = _kernel_matrix(params.process_variance, params.lengthscales, X)
+    cho, jitter = factor_gram_reference(K, dataset.variances(), params.process_variance)
+    ones = np.ones(len(dataset))
+    Cinv_one = cho_solve(cho, ones, check_finite=False)
+    beta0 = float(Cinv_one @ y) / float(ones @ Cinv_one)
+    L_inv = solve_triangular(cho[0], np.eye(len(dataset)), lower=True, check_finite=False)
+    proj = np.column_stack([cho_solve(cho, y - beta0, check_finite=False), Cinv_one, L_inv.T])
+    return proj, beta0, jitter

@@ -244,6 +244,15 @@ class TestMergeReplicate:
         assert abs(merged.variance - 1.0 / (w_old + w_new)) < 1e-12
         assert merged.variance < old.variance
 
+    @pytest.mark.parametrize("new_var", [5e-324, 1e-307])
+    def test_tiny_batch_variance_keeps_the_mean_finite(self, new_var):
+        # 1 / new_var overflows, or its product with the mean does; the far
+        # more precise new batch then carries the pooled mean
+        old = NoisyObservation([0.0], 0.0, 0.0625)
+        merged = merge_replicate(old, 1e3, new_var, n=2)
+        assert merged.mean == 1e3
+        assert 0.0 <= merged.variance <= new_var
+
     def test_location_is_preserved(self):
         old = NoisyObservation([0.25, 0.75], 1.0, 0.5)
         merged = merge_replicate(old, 1.5, 0.5, n=5)

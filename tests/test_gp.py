@@ -145,6 +145,19 @@ def test_dataset_index_of_exact_match():
     assert ds.index_of([0.3]) is None
 
 
+@pytest.mark.parametrize("field, args", [
+    ("location", ([0.1, math.inf], 1.0, 0.1)),
+    ("location", ([math.nan], 1.0, 0.1)),
+    ("mean", ([0.1], math.nan, 0.1)),
+    ("mean", ([0.1], -math.inf, 0.1)),
+    ("variance", ([0.1], 1.0, math.inf)),
+    ("variance", ([0.1], 1.0, math.nan)),
+])
+def test_observation_rejects_non_finite_fields(field, args):
+    with pytest.raises(ValueError, match=f"observation {field} must be finite"):
+        NoisyObservation(*args)
+
+
 # ---------------------------------------------------------------------------
 # beta0 profile
 # ---------------------------------------------------------------------------
@@ -389,6 +402,13 @@ class TestFitFailures:
     def test_two_points(self):
         self._finite_or_fit_error(GpDataset([NoisyObservation([0.1], 1.0, 0.01),
                                              NoisyObservation([0.8], -0.5, 0.02)]))
+
+    def test_overflowing_response_variance_raises(self):
+        # finite means whose spread overflows a double: no search box exists
+        ds = GpDataset([NoisyObservation([x], m, 0.0)
+                        for x, m in [(0.1, 1e200), (0.5, -1e200), (0.9, 1e200)]])
+        with pytest.raises(GpFitError, match="response variance is not finite"):
+            fit_hyperparameters(ds, rng=0)
 
     def test_unfactorable_region_is_avoided(self, monkeypatch):
         # Every covariance with process variance above the response variance

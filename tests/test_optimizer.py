@@ -230,6 +230,18 @@ class TestRun:
         with pytest.raises(ValueError, match="non-finite values at control point"):
             run(problem, _small_config())
 
+    @pytest.mark.parametrize("overflowing", [
+        lambda out, xc: out * 1e160,  # the batch variance overflows
+        lambda out, xc: out + 1e200 * (xc[0] + xc[1]),  # the rounding spread's square does
+    ])
+    def test_overflowing_batch_names_the_point(self, overflowing):
+        toy = toy_problem(0.0)
+        problem = ProblemSpec(lambda xc, xe: overflowing(toy.evaluator(xc, xe), xc), toy.env,
+                              toy.control_bounds)
+        with pytest.raises(ValueError, match="at control point .* overflows its batch mean or "
+                                             "variance"):
+            run(problem, _small_config())
+
     def test_min_score_stops_early(self):
         config = _small_config(n_iter=5, min_score=1e9, seed=7)
         state = run(toy_problem(0.0), config)

@@ -1,20 +1,25 @@
 """Property tests: invariants of front construction, front metrics, the
 improvement criterion, the GP likelihood and posterior variance, replicate
 pooling, config parsing and the initial design, checked on generated inputs
-against independent references."""
+against independent references; and exact equality of the GP's direct LAPACK
+calls with scipy's wrapper forms."""
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (brute_force_front, front_metrics_reference, improvement_terms_reference,
-                      initial_design_reference, posterior_reference, random_front)
+from _oracles import (brute_force_front, emulator_projection_reference, factor_gram_reference,
+                      front_metrics_reference, improvement_terms_reference,
+                      initial_design_reference, posterior_reference, profiled_loglik_reference,
+                      random_front)
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
-from moeeqi.gp import (_ROW_BLOCK, GpDataset, GpEmulator, KernelParams, NoisyObservation,
+from moeeqi.gp import (_JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError, KernelParams,
+                       NoisyObservation, _factor_gram, _kernel_matrix, _profiled_loglik, _sq_diffs,
                        log_marginal_likelihood)
 from moeeqi.optimizer import RunConfig, front_metrics
 from moeeqi.pareto import FrontPoint, ImprovementMode, _improvement_terms, build_front, moeeqi, moeeqi_scores
@@ -147,6 +152,78 @@ def test_improvement_terms_equal_the_two_edge_reference(seed, size, mode):
     want = improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def _laddered_gram(rng, dim, size, rung):
+    """Locations, responses, a kernel, its Gram matrix K and a noise diagonal
+    for which the jitter ladder stops at index ``rung`` of ``_JITTER_STEPS``,
+    or at none when ``rung`` is None: for a rung above 0 the noise moves the
+    smallest eigenvalue of K + diag(noise) to half that rung's jitter below
+    zero (to twice the last rung's without one)."""
+    X = rng.uniform(-1.0, 2.0, size=(size, dim))
+    y = rng.normal(scale=rng.uniform(0.1, 3.0), size=size)
+    params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=dim))
+    K = _kernel_matrix(params.process_variance, params.lengthscales, X)
+    if rung == 0:
+        noise = params.process_variance * rng.uniform(0.01, 0.5, size=size)
+    else:
+        below = 2.0 * _JITTER_STEPS[-1] if rung is None else 0.5 * _JITTER_STEPS[rung]
+        shift = np.linalg.eigvalsh(K)[0] + params.process_variance * 1e-8 * below
+        noise = np.full(size, -shift)
+    return X, y, params, K, noise
+
+
+_rungs = st.sampled_from([0, 1, 2, len(_JITTER_STEPS) - 1, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 30), _rungs)
+def test_factor_gram_equals_the_cho_factor_reference(seed, dim, size, rung):
+    _, _, params, K, noise = _laddered_gram(np.random.default_rng(seed), dim, size, rung)
+    if rung is None:
+        for factor in (_factor_gram, factor_gram_reference):
+            with pytest.raises(GpFitError):
+                factor(K, noise, params.process_variance)
+        return
+    (L, lower), jitter = _factor_gram(K, noise, params.process_variance)
+    (want_L, want_lower), want_jitter = factor_gram_reference(K, noise, params.process_variance)
+    assert jitter == want_jitter == params.process_variance * 1e-8 * _JITTER_STEPS[rung]
+    assert lower is want_lower is True
+    assert np.array_equal(L, want_L)  # the uncleared upper triangle too
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 30), _rungs)
+def test_profiled_loglik_equals_the_cho_solve_reference(seed, dim, size, rung):
+    X, y, params, _, noise = _laddered_gram(np.random.default_rng(seed), dim, size, rung)
+    args = (X, y, noise, params.process_variance, params.lengthscales, _sq_diffs(X))
+    if rung is None:
+        for loglik in (_profiled_loglik, profiled_loglik_reference):
+            with pytest.raises(GpFitError):
+                loglik(*args)
+        return
+    value, grad = _profiled_loglik(*args)
+    want_value, want_grad = profiled_loglik_reference(*args)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 30), st.booleans())
+def test_emulator_projection_equals_the_wrapper_reference(seed, dim, size, noiseless):
+    # Without noise, close locations and long lengthscales leave the Gram
+    # matrix singular to working precision, and the ladder climbs a rung.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(size, dim))
+    params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.05, 5.0, size=dim))
+    noise = np.zeros(size) if noiseless else params.process_variance * rng.uniform(0.0, 0.5, size)
+    ds = GpDataset([NoisyObservation(X[j], rng.normal(), noise[j]) for j in range(size)])
+    bounds = np.array([[0.0, 2.0]] * dim)
+    want_proj, want_beta0, want_jitter = emulator_projection_reference(ds, params, bounds)
+    em = GpEmulator(ds, params, control_bounds=bounds)
+    assert em.jitter_used == want_jitter
+    assert em.beta0 == want_beta0
+    assert np.array_equal(em._proj, want_proj)
 
 
 @settings(max_examples=100, deadline=None)
