@@ -45,6 +45,7 @@ from .pareto import (
     ZeroProbabilityError,
     build_front,
     centroid,
+    feasible_mask,
     moeeqi,
     moeeqi_scores,
     probability_of_improvement,

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run, whole_number
+from .gp import whole_number
+from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run
 from .pareto import ParetoFront
 from .problems import ProblemSchemaError, load_problem, oracle_front, read_field, reject_unknown
 

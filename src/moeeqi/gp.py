@@ -10,6 +10,7 @@ package (cdf, pdf, quantile) live here as well.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,6 +91,18 @@ def std_normal_quantile(p):
 # ---------------------------------------------------------------------------
 
 
+def whole_number(value, name: str, minimum: int = None) -> int:
+    """``value`` as an int: a whole number (``2.0`` reads as 2) that is not a
+    boolean and is at least ``minimum``; otherwise a ValueError naming ``name``."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def as_point(x) -> np.ndarray:
     """Coerce a control point to an immutable 1-D float array."""
     pt = np.atleast_1d(np.asarray(x, dtype=float))
@@ -137,8 +150,7 @@ class NoisyObservation:
                 raise ValueError(f"observation {field} must be finite, got {getattr(self, field)}")
         if self.variance < 0.0:
             raise ValueError("observation variance must be non-negative")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        self.replications = whole_number(self.replications, "replications", 1)
 
 
 class GpDataset:
@@ -208,16 +220,10 @@ def _kernel_matrix(process_variance: float, lengthscales: np.ndarray, X: np.ndar
     return process_variance * np.exp(-0.5 * sq)
 
 
-def _gram_cholesky(X: np.ndarray, noise: np.ndarray, process_variance: float,
-                   lengthscales: np.ndarray):
-    """Cholesky factor of K(X, X) + diag(noise) and the jitter it needed."""
-    return _factor_gram(_kernel_matrix(process_variance, lengthscales, X), noise, process_variance)
-
-
 def _factor_gram(K: np.ndarray, noise: np.ndarray, process_variance: float):
-    """Cholesky factor of K + diag(noise), as ``(L, True)`` with L lower and
-    the upper triangle not cleared, and the jitter it needed; K is left as it
-    is, and the ladder resets only the diagonal between rungs."""
+    """Lower Cholesky factor L of K + diag(noise), its upper triangle not
+    cleared, and the jitter it needed; K is left as it is, and the ladder
+    resets only the diagonal between rungs."""
     C = K.copy()
     diag = C.reshape(-1)[:: C.shape[0] + 1]  # strided view of the diagonal
     diag += noise
@@ -227,7 +233,7 @@ def _factor_gram(K: np.ndarray, noise: np.ndarray, process_variance: float):
         np.add(base, jitter, out=diag)
         L, info = _potrf(C, lower=1, clean=0)
         if info == 0:
-            return (L, True), jitter
+            return L, jitter
     raise GpFitError("covariance matrix is not positive definite even with maximal "
                      "jitter; check for near-duplicate locations")
 
@@ -254,7 +260,7 @@ def _profiled_loglik(X, y, noise, process_variance: float, lengthscales: np.ndar
     """
     S = y.size
     K = _kernel_matrix(process_variance, lengthscales, X)
-    (L, _), jitter = _factor_gram(K, noise, process_variance)
+    L, jitter = _factor_gram(K, noise, process_variance)
     rhs = np.empty((S, 2))
     rhs[:, 0] = 1.0
     rhs[:, 1] = y
@@ -410,8 +416,9 @@ class GpEmulator:
         self._lb, self._span = _unit_box(control_bounds, dataset.dim)
         X = self.scale(dataset.locations())
         y = dataset.means()
-        (L, _), self.jitter_used = _gram_cholesky(X, dataset.variances(),
-                                                  params.process_variance, params.lengthscales)
+        L, self.jitter_used = _factor_gram(
+            _kernel_matrix(params.process_variance, params.lengthscales, X), dataset.variances(),
+            params.process_variance)
         ones = np.ones(len(dataset))
         Cinv_one = _potrs(L, ones, lower=1)[0]
         self._one_Cinv_one = float(ones @ Cinv_one)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import future_noise, merge_replicate, quantile_posterior_arrays
-from .gp import GpDataset, GpEmulator, NoisyObservation, std_normal_quantile
+from .gp import GpDataset, GpEmulator, NoisyObservation, std_normal_quantile, whole_number
 from .pareto import ImprovementMode, ParetoFront, build_front, feasible_mask, moeeqi_scores
 from .problems import (
     ProblemSchemaError,
@@ -43,18 +43,6 @@ __all__ = [
 
 _COMPARATORS = ("moeeqi", "moeei")
 _PENALTY_FACTORS = (5.0, 10.0)  # distance multipliers for overestimating front points
-
-
-def whole_number(value, name: str, minimum: int = None) -> int:
-    """``value`` as an int: a whole number (``2.0`` reads as 2) that is not a
-    boolean and is at least ``minimum``; otherwise a ValueError naming ``name``."""
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
-    return int(value)
 
 
 def _real_number(value, name: str):
@@ -188,10 +176,9 @@ def _design_front(state: "RunState") -> ParetoFront:
         m, s2 = em.posterior(locations)
         quantiles[:, i] = m + z * np.sqrt(s2)
         _, adj_sd[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
-    return build_front(
-        quantiles, locations, state.problem.constraints, noise_sd=adj_sd, beta=beta,
-        literal_formula=state.config.literal_constraint_formula,
-    )
+    keep = feasible_mask(quantiles, adj_sd, state.problem.constraints, beta,
+                         state.config.literal_constraint_formula)
+    return build_front(quantiles[keep], locations[keep])
 
 
 def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: ImprovementMode):
@@ -235,8 +222,9 @@ def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode):
 
 def pinned_bounds(problem: ProblemSpec, fixed_coords) -> np.ndarray:
     """Control bounds with each ``fixed_coords`` coordinate pinned to its
-    value; a key outside the problem's coordinates or a value outside the
-    control range is a ``ProblemSchemaError``."""
+    value; a key outside the problem's coordinates, a value outside the
+    control range, or pins that leave no coordinate free (every design point
+    would be one location) is a ``ProblemSchemaError``."""
     bounds = problem.control_bounds.copy()
     for k, value in (fixed_coords or {}).items():
         if k not in range(problem.dim):
@@ -251,6 +239,9 @@ def pinned_bounds(problem: ProblemSpec, fixed_coords) -> np.ndarray:
                 f"control range [{lo}, {hi}]"
             )
         bounds[k] = (value, value)
+    if np.all(bounds[:, 0] == bounds[:, 1]):
+        raise ProblemSchemaError(
+            f"field 'fixed_coords' pins all {problem.dim} coordinates; leave at least one free")
     return bounds
 
 
@@ -273,11 +264,10 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
     fixed seed.
     """
     rng = np.random.default_rng(config.seed)
-    grid = candidate_grid(pinned_bounds(problem, config.fixed_coords), config.grid_resolution)
+    bounds = pinned_bounds(problem, config.fixed_coords)
+    grid = candidate_grid(bounds, config.grid_resolution)
 
-    design = initial_design(config.initial_design_size, problem.control_bounds, rng)
-    for k, value in (config.fixed_coords or {}).items():
-        design[:, k] = value
+    design = initial_design(config.initial_design_size, bounds, rng)
     env0 = sample_environment(problem.env, config.n_mc, rng)
     batches = [problem.evaluate_mc(xc, config.n_mc, rng, draws=env0) for xc in design]
     datasets = tuple(

@@ -135,31 +135,22 @@ def feasible_mask(
     return keep
 
 
-def build_front(
-    q: np.ndarray,
-    sources: np.ndarray | None = None,
-    constraints: ConstraintSpec | None = None,
-    noise_sd: np.ndarray | None = None,
-    beta: float = 0.5,
-    literal_formula: bool = False,
-) -> ParetoFront:
-    """Maximal non-dominated subset of the (n, 2) objective values ``q``,
-    constraint-filtered; row i of the optional (n, v) ``sources`` is the
-    control point of candidate i.
+def build_front(q: np.ndarray, sources: np.ndarray | None = None) -> ParetoFront:
+    """Maximal non-dominated subset of the (n, 2) objective values ``q``; row
+    i of the optional (n, v) ``sources`` is the control point of candidate i.
 
-    Candidates whose noise-adjusted value exceeds an active bound are dropped
-    first. Dominance is the usual bi-objective rule (<= in both coordinates,
-    < in at least one); exact duplicates keep the first-seen point. The empty
-    front is allowed.
+    Dominance is the usual bi-objective rule (<= in both coordinates, < in at
+    least one); exact duplicates keep the first-seen point. The empty front
+    is allowed. A constrained front is built from the rows that pass
+    ``feasible_mask``.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != 2 or (sources is not None and len(sources) != len(q)):
         raise ValueError(f"build_front needs (n, 2) values and n sources, got values {q.shape}")
-    idx = np.flatnonzero(feasible_mask(q, noise_sd, constraints, beta, literal_formula))
     # Sweep in (q1, q2) order, stable so that duplicates keep the first seen:
     # a point is non-dominated iff it strictly improves the best q2 seen so
     # far (fmin, like the comparison, passes over a NaN q2).
-    idx = idx[np.lexsort((q[idx, 1], q[idx, 0]))]
+    idx = np.lexsort((q[:, 1], q[:, 0]))
     q2 = q[idx, 1]
     idx = idx[q2 < np.fmin.accumulate(np.r_[np.inf, q2[:-1]])]
     src = [None] * len(idx) if sources is None else np.asarray(sources, dtype=float)[idx]

@@ -302,13 +302,6 @@ def _maxpro_terms(rows: np.ndarray, design: np.ndarray) -> np.ndarray:
         return 1.0 / np.prod(diff * diff, axis=2)
 
 
-def _maxpro_criterion(design: np.ndarray) -> float:
-    # sum over point pairs of 1 / prod_k (x_jk - x_lk)^2; lower is better
-    inv = _maxpro_terms(design, design)
-    iu = np.triu_indices(design.shape[0], k=1)
-    return float(np.sum(inv[iu]))
-
-
 def _latin_hypercube(s: int, v: int, rng: np.random.Generator) -> np.ndarray:
     design = np.empty((s, v))
     for k in range(v):
@@ -326,7 +319,8 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
 
     Column-wise swaps preserve the Latin hypercube property, so every
     projection keeps exactly one point per bin. Returns an (s, v) array in
-    problem units; deterministic under a seeded generator.
+    problem units; deterministic under a seeded generator. An axis with
+    lo == hi is pinned to its single value, with the same draws as a free one.
     """
     if s < 2:
         raise ValueError("initial design needs at least 2 points")
@@ -334,15 +328,15 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
     v = bounds.shape[0]
     rng = np.random.default_rng(rng)
 
-    # The exchange keeps the pair terms of _maxpro_criterion: a swap of rows
-    # i and j changes only their rows and columns, and the criterion is
-    # summed over the upper triangle in the same order as there.
+    # The MaxPro criterion is the sum over point pairs (the upper triangle,
+    # row by row) of the terms in ``inv``; lower is better. A swap of rows
+    # i and j changes only their rows and columns of ``inv``.
     upper = np.flatnonzero(np.triu(np.ones((s, s), dtype=bool), k=1))
     best, best_crit = None, np.inf
     for _ in range(_DESIGN_RESTARTS):
         design = _latin_hypercube(s, v, rng)
-        crit = _maxpro_criterion(design)
         inv = _maxpro_terms(design, design)
+        crit = float(np.sum(inv.take(upper)))
         for _ in range(_DESIGN_MAX_SWEEPS):
             improved = False
             for k in range(v):

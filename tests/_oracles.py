@@ -21,11 +21,10 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from moeeqi.gp import (_COLD_STARTS, _JITTER_STEPS, _LOG_2PI, _WARM_STARTS, GpFitError,
-                       KernelParams, _default_bounds, _gram_cholesky, _kernel_matrix,
+                       KernelParams, _default_bounds, _factor_gram, _kernel_matrix,
                        _profiled_loglik, _sq_diffs, _unit_box, std_normal_cdf, std_normal_pdf)
 from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront
-from moeeqi.problems import (_DESIGN_MAX_SWEEPS, _DESIGN_RESTARTS, _latin_hypercube,
-                             _maxpro_criterion)
+from moeeqi.problems import _DESIGN_MAX_SWEEPS, _DESIGN_RESTARTS, _latin_hypercube, _maxpro_terms
 
 
 def brute_force_front(points):
@@ -254,7 +253,8 @@ def posterior_reference(dataset, params, x, control_bounds=None):
     lb, span = _unit_box(control_bounds, dataset.dim)
     X = (dataset.locations() - lb) / span
     y = dataset.means()
-    cho, _ = _gram_cholesky(X, dataset.variances(), params.process_variance, params.lengthscales)
+    K = _kernel_matrix(params.process_variance, params.lengthscales, X)
+    cho = (_factor_gram(K, dataset.variances(), params.process_variance)[0], True)
     ones = np.ones(len(dataset))
     Cinv_one = cho_solve(cho, ones, check_finite=False)
     one_Cinv_one = float(ones @ Cinv_one)
@@ -270,6 +270,14 @@ def posterior_reference(dataset, params, x, control_bounds=None):
     return mean, np.maximum(var, 0.0)
 
 
+def maxpro_criterion(design):
+    """The maximum-projection criterion of a design in the unit cube: the
+    sum over point pairs of 1 / prod_k (x_jk - x_lk)^2; lower is better."""
+    inv = _maxpro_terms(design, design)
+    iu = np.triu_indices(design.shape[0], k=1)
+    return float(np.sum(inv[iu]))
+
+
 def initial_design_reference(s, bounds, rng):
     """``moeeqi.problems.initial_design`` with the whole MaxPro criterion
     recomputed after every trial swap."""
@@ -279,14 +287,14 @@ def initial_design_reference(s, bounds, rng):
     best, best_crit = None, np.inf
     for _ in range(_DESIGN_RESTARTS):
         design = _latin_hypercube(s, v, rng)
-        crit = _maxpro_criterion(design)
+        crit = maxpro_criterion(design)
         for _ in range(_DESIGN_MAX_SWEEPS):
             improved = False
             for k in range(v):
                 for i in range(s - 1):
                     for j in range(i + 1, s):
                         design[i, k], design[j, k] = design[j, k], design[i, k]
-                        trial = _maxpro_criterion(design)
+                        trial = maxpro_criterion(design)
                         if trial < crit:
                             crit = trial
                             improved = True

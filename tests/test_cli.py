@@ -142,7 +142,7 @@ class TestCmdRun:
         assert "'a'" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}, {"x": 0.1}])
+    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}, {"x": 0.1}, {"0": 0.5, "1": 0.5}])
     def test_invalid_fixed_coords_exit_2_naming_the_field(self, tmp_path, capsys, fixed):
         rc = main([
             "run", "--problem", _problem_file(tmp_path),
@@ -310,7 +310,7 @@ class TestCmdStudy:
         assert rc == 2
         assert "replicates" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}, {"x": 0.1}])
+    @pytest.mark.parametrize("fixed", [{"5": 0.0}, {"1": 2.0}, {"x": 0.1}, {"0": 0.5, "1": 0.5}])
     def test_invalid_fixed_coords_exit_2_before_any_replicate(self, tmp_path, capsys, fixed):
         out = tmp_path / "study"
         rc = main([

@@ -20,7 +20,7 @@ from moeeqi.gp import (
 )
 import moeeqi.gp
 from moeeqi import RunConfig, run
-from moeeqi.gp import _default_bounds, _gram_cholesky, _kernel_matrix, _profiled_loglik, _sq_diffs
+from moeeqi.gp import _default_bounds, _factor_gram, _kernel_matrix, _profiled_loglik, _sq_diffs
 from moeeqi.problems import toy_problem
 
 from _oracles import kernel_eval, nelder_mead_fit_reference
@@ -156,6 +156,17 @@ def test_dataset_index_of_exact_match():
 def test_observation_rejects_non_finite_fields(field, args):
     with pytest.raises(ValueError, match=f"observation {field} must be finite"):
         NoisyObservation(*args)
+
+
+@pytest.mark.parametrize("replications", [2.5, True, "3", 0])
+def test_observation_rejects_a_count_that_is_not_a_whole_number(replications):
+    with pytest.raises(ValueError, match="replications"):
+        NoisyObservation([0.1], 1.0, 0.1, replications=replications)
+
+
+def test_observation_reads_a_whole_float_count_as_an_int():
+    obs = NoisyObservation([0.1], 1.0, 0.1, replications=2.0)
+    assert obs.replications == 2 and type(obs.replications) is int
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +498,8 @@ def test_fit_likelihood_no_worse_than_nelder_mead(monkeypatch, overrides):
 def test_factorize_raises_on_indefinite_matrix():
     # K = [[1, e^-1/2], [e^-1/2, 1]]; the noise diagonal -1 leaves eigenvalues +-e^-1/2
     with pytest.raises(GpFitError):
-        _gram_cholesky(np.array([[0.0], [1.0]]), np.array([-1.0, -1.0]), 1.0, np.array([1.0]))
+        _factor_gram(_kernel_matrix(1.0, np.array([1.0]), np.array([[0.0], [1.0]])),
+                     np.array([-1.0, -1.0]), 1.0)
 
 
 def test_factorize_clean_matrix_uses_no_jitter():
@@ -516,7 +528,7 @@ def test_ladder_resets_the_diagonal_between_rungs():
     # about -1e-7, which the rung 1.7e-8 does not lift and the rung 1.7e-7 does.
     X = np.array([[0.0], [100.0], [200.0]])
     noise = np.full(3, -_LADDER_PV - 1e-7)
-    (L, _), jitter = _gram_cholesky(X, noise, _LADDER_PV, np.array([1.0]))
+    L, jitter = _factor_gram(_kernel_matrix(_LADDER_PV, np.array([1.0]), X), noise, _LADDER_PV)
     assert jitter == _RUNGS[1]
     L = np.tril(L)
     expected = np.diag(_LADDER_PV + noise + jitter)

@@ -184,7 +184,8 @@ class TestRun:
         for rec in state.history:
             assert rec.point[1] == 0.0
 
-    @pytest.mark.parametrize("fixed", [{2: 0.0}, {-1: 0.0}, {1: 1.5}, {0: -0.1}, {1: math.nan}])
+    @pytest.mark.parametrize("fixed", [{2: 0.0}, {-1: 0.0}, {1: 1.5}, {0: -0.1}, {1: math.nan},
+                                       {0: 0.5, 1: 0.5}])
     def test_invalid_fixed_coords_rejected_before_the_grid(self, fixed):
         calls = []
         toy = toy_problem(0.0)

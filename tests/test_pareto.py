@@ -80,7 +80,7 @@ class TestBuildFront:
         pts = np.array([[0.5, 3.0], [1.0, 1.0], [3.0, 0.5]])
         spec = ConstraintSpec((2.0, 2.0))
         sd = np.zeros((3, 2))
-        front = build_front(pts, constraints=spec, noise_sd=sd, beta=0.7)
+        front = build_front(pts[feasible_mask(pts, sd, spec, beta=0.7)])
         assert [(p.q1, p.q2) for p in front] == [(1.0, 1.0)]
 
     def test_noise_adjustment_widens_the_feasible_set(self):
@@ -88,8 +88,8 @@ class TestBuildFront:
         # quantile sd slack PHI^{-1}(0.7) * 0.6 > 0.3 is granted
         pts = np.array([[2.3, 0.0]])
         spec = ConstraintSpec((2.0, None))
-        tight = build_front(pts, constraints=spec, noise_sd=np.array([[0.0, 0.0]]), beta=0.7)
-        slack = build_front(pts, constraints=spec, noise_sd=np.array([[0.6, 0.0]]), beta=0.7)
+        tight = build_front(pts[feasible_mask(pts, np.array([[0.0, 0.0]]), spec, beta=0.7)])
+        slack = build_front(pts[feasible_mask(pts, np.array([[0.6, 0.0]]), spec, beta=0.7)])
         assert len(tight) == 0
         assert len(slack) == 1
 
@@ -97,8 +97,8 @@ class TestBuildFront:
         pts = np.array([[2.3, 0.0]])
         spec = ConstraintSpec((2.0, None))
         sd = np.array([[0.6, 0.0]])
-        corrected = build_front(pts, constraints=spec, noise_sd=sd, beta=0.7, literal_formula=False)
-        literal = build_front(pts, constraints=spec, noise_sd=sd, beta=0.7, literal_formula=True)
+        corrected = build_front(pts[feasible_mask(pts, sd, spec, beta=0.7, literal_formula=False)])
+        literal = build_front(pts[feasible_mask(pts, sd, spec, beta=0.7, literal_formula=True)])
         # sd slack 0.524*0.6 = 0.315 admits the point; variance slack
         # 0.524*0.36 = 0.189 does not
         assert len(corrected) == 1

@@ -8,7 +8,9 @@
 #
 # The configs: run on toy(a=0.5) for seeds 1-3, once with a mixed mode
 # schedule and once with a constraint; a constrained run with the literal
-# (variance) constraint formula; run with fixed_coords; run with the moeei
+# (variance) constraint formula; run with fixed_coords, once pinning x1 at
+# its box edge and once pinning it at 0.9 on the constrained toy, where the
+# constraint filter drops members of the design front; run with the moeei
 # comparator and refit_hyperparameters false; run with a config that leans
 # on defaults and normalization (a whole float n_mc, null seed and
 # min_score, a list-form mode_schedule, no --seed); run on a toy problem
@@ -57,6 +59,10 @@ cat >"$work/fixed.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
  "seed": 1, "fixed_coords": {"1": 0.0}}
 JSON
+cat >"$work/pinned.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
+ "seed": 3, "fixed_coords": {"1": 0.9}}
+JSON
 cat >"$work/moeei.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
  "seed": 2, "comparator": "moeei", "refit_hyperparameters": false}
@@ -84,6 +90,8 @@ done
 cli run --problem "$work/toy_constrained.json" --config "$work/literal.json" \
     --out "$out/run_literal"
 cli run --problem "$work/toy.json" --config "$work/fixed.json" --out "$out/run_fixed"
+cli run --problem "$work/toy_constrained.json" --config "$work/pinned.json" \
+    --out "$out/run_pinned_constrained"
 cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_moeei"
 cli run --problem "$work/toy.json" --config "$work/defaults.json" --out "$out/run_defaults"
 cli run --problem "$work/toy_subbox.json" --config "$work/plain.json" --seed 5 \
