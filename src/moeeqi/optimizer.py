@@ -1,10 +1,11 @@
 """Sequential design loop for bi-objective optimization over a candidate grid.
 
 Each iteration rebuilds the quantile-based Pareto front at the current design
-locations, scores every grid candidate with the Euclidean expected quantile
-improvement under a conservative future-noise assumption, evaluates the best
-candidate with a fresh Monte Carlo batch, and either adds it as a new design
-point or pools it into an existing one. A plug-in comparator that estimates
+locations, picks the grid candidate of largest Euclidean expected quantile
+improvement under a conservative future-noise assumption (scoring exactly
+only the candidates whose upper bound can reach the best score), evaluates
+it with a fresh Monte Carlo batch, and either adds it as a new design point
+or pools it into an existing one. A plug-in comparator that estimates
 the front from posterior means and ignores future noise is available for
 benchmarking, as are distance-to-truth metrics.
 """
@@ -19,7 +20,8 @@ import numpy as np
 
 from .acquisition import future_noise, merge_replicate, quantile_posterior_arrays
 from .gp import GpDataset, GpEmulator, NoisyObservation, std_normal_quantile, whole_number
-from .pareto import ImprovementMode, ParetoFront, build_front, feasible_mask, moeeqi_scores
+from .pareto import (ImprovementMode, ParetoFront, _score_bounds, build_front, feasible_mask,
+                     moeeqi_scores)
 from .problems import (
     ProblemSchemaError,
     ProblemSpec,
@@ -43,6 +45,7 @@ __all__ = [
 
 _COMPARATORS = ("moeeqi", "moeei")
 _PENALTY_FACTORS = (5.0, 10.0)  # distance multipliers for overestimating front points
+_SEED_CANDIDATES = 64  # exactly scored to set the pruning threshold of a selection
 
 
 def _real_number(value, name: str):
@@ -83,8 +86,8 @@ class RunConfig:
         for name in ("refit_hyperparameters", "literal_constraint_formula"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.min_score is not None:
-            _real_number(self.min_score, "min_score")
+        if self.min_score is not None and math.isnan(_real_number(self.min_score, "min_score")):
+            raise ValueError("min_score must be a number or null, got NaN")
         if self.mode_schedule is None:
             self.mode_schedule = ((ImprovementMode.AGGRESSIVE, self.n_iter),)
         try:
@@ -183,9 +186,15 @@ def _design_front(state: "RunState") -> ParetoFront:
 
 def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: ImprovementMode):
     """Argmax of the criterion over the grid against the design-location
-    ``front``. Candidates failing the constraint filter score zero; when every
-    candidate does, the point of largest summed posterior variance is taken
-    instead. Returns (point, score, fallback)."""
+    ``front``, first on ties. Candidates failing the constraint filter are
+    not scored; when no candidate scores above zero, the point of largest
+    summed posterior variance is taken instead. Returns (point, score,
+    fallback).
+
+    Only candidates whose score bound reaches the best exact score among the
+    ``_SEED_CANDIDATES`` largest bounds are scored. The bound holds for the
+    computed scores, rounding included, so the result equals the full
+    argmax."""
     beta, sigma2_future = _criterion(state)
     mq = np.empty((grid.shape[0], 2))
     sq = np.empty_like(mq)
@@ -194,15 +203,18 @@ def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: Impro
         m, s2 = em.posterior(grid)
         mq[:, i], sq[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
         var_sum += s2
-    if len(front) == 0:
-        scores = np.zeros(grid.shape[0])
-    else:
-        scores = moeeqi_scores(front, mq[:, 0], sq[:, 0], mq[:, 1], sq[:, 1], mode)
-    keep = feasible_mask(mq, sq, state.problem.constraints, beta, state.config.literal_constraint_formula)
-    scores = np.where(keep, scores, 0.0)
-    best = int(np.argmax(scores))
-    if scores[best] > 0.0:
-        return grid[best], float(scores[best]), False
+    rows = np.flatnonzero(feasible_mask(mq, sq, state.problem.constraints, beta,
+                                        state.config.literal_constraint_formula))
+    if len(front) > 0 and rows.size > 0:
+        cols = (mq[rows, 0], sq[rows, 0], mq[rows, 1], sq[rows, 1])
+        bound = _score_bounds(front, *cols, mode)
+        lead = np.argpartition(bound, -min(_SEED_CANDIDATES, bound.size))[-_SEED_CANDIDATES:]
+        best = np.max(moeeqi_scores(front, *(c[lead] for c in cols), mode))
+        live = np.flatnonzero(bound >= best)
+        scores = moeeqi_scores(front, *(c[live] for c in cols), mode)
+        top = int(np.argmax(scores))
+        if scores[top] > 0.0:
+            return grid[rows[live[top]]], float(scores[top]), False
     return grid[int(np.argmax(var_sum))], 0.0, True
 
 

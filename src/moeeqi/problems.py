@@ -49,8 +49,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"uniform bounds must satisfy lo < hi, got ({self.lo}, {self.hi})")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"uniform bounds must be finite with lo < hi, got ({self.lo}, {self.hi})")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=n)
@@ -62,8 +62,10 @@ class Normal:
     sd: float
 
     def __post_init__(self):
-        if not self.sd > 0.0:
-            raise ValueError(f"normal sd must be positive, got {self.sd}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"normal mu must be finite, got {self.mu}")
+        if not (math.isfinite(self.sd) and self.sd > 0.0):
+            raise ValueError(f"normal sd must be finite and positive, got {self.sd}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.mu, self.sd, size=n)
@@ -160,8 +162,8 @@ def toy_problem(
     """Benchmark problem instance with tuning parameter ``a`` controlling the
     nonlinear part of the environmental noise. ``control_bounds`` must lie
     inside the benchmark's box [0, pi/2] x [0, 1]."""
-    if a < 0.0:
-        raise ValueError("a must be non-negative")
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"a must be finite and non-negative, got {a}")
 
     def evaluator(xc, xe_batch):
         h1, h2 = toy_objectives(xc, xe_batch, a)
@@ -421,6 +423,13 @@ def read_field(doc, key: str, parse=None, where: str = "", default=_REQUIRED):
 _DISTRIBUTIONS = {"uniform": (Uniform, "lo", "hi"), "normal": (Normal, "mu", "sd")}
 
 
+def _finite_float(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _parse_env(entries) -> tuple:
     dists = []
     for i, entry in enumerate(entries):
@@ -430,7 +439,7 @@ def _parse_env(entries) -> tuple:
             raise ProblemSchemaError(f"field '{where}type' must be 'uniform' or 'normal', got {kind!r}")
         dist, first, second = _DISTRIBUTIONS[kind]
         reject_unknown(entry, ("type", first, second), "problem", where)
-        p = read_field(entry, first, float, where)
+        p = read_field(entry, first, _finite_float, where)
         dists.append(read_field(entry, second, lambda q: dist(p, float(q)), where))
     # The toy evaluator reads the first two environmental columns.
     if len(dists) < 2:

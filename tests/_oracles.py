@@ -7,7 +7,8 @@ fast paths: the fit reference searches the package's likelihood value
 without its gradient, the posterior reference solves against the Cholesky
 factor per call, the strip reference evaluates both edges of every strip
 through one-edge helpers, and the design reference recomputes the whole
-MaxPro criterion on every trial swap. The GP linear-algebra references are
+MaxPro criterion on every trial swap, and the selection reference scores
+every grid candidate exactly. The GP linear-algebra references are
 the same computations through scipy's validating wrappers (``cho_factor``,
 ``cho_solve``, ``solve_triangular``) instead of the LAPACK routines behind
 them, so the package must match them bit for bit.
@@ -20,10 +21,12 @@ from scipy.integrate import dblquad
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
+from moeeqi.acquisition import quantile_posterior_arrays
 from moeeqi.gp import (_COLD_STARTS, _JITTER_STEPS, _LOG_2PI, _WARM_STARTS, GpFitError,
                        KernelParams, _default_bounds, _factor_gram, _kernel_matrix,
                        _profiled_loglik, _sq_diffs, _unit_box, std_normal_cdf, std_normal_pdf)
-from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront
+from moeeqi.optimizer import _criterion
+from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront, feasible_mask, moeeqi_scores
 from moeeqi.problems import _DESIGN_MAX_SWEEPS, _DESIGN_RESTARTS, _latin_hypercube, _maxpro_terms
 
 
@@ -365,3 +368,28 @@ def emulator_projection_reference(dataset, params, control_bounds=None):
     L_inv = solve_triangular(cho[0], np.eye(len(dataset)), lower=True, check_finite=False)
     proj = np.column_stack([cho_solve(cho, y - beta0, check_finite=False), Cinv_one, L_inv.T])
     return proj, beta0, jitter
+
+
+def select_reference(state, front, grid, mode):
+    """The selection by full argmax: every grid candidate scored exactly,
+    infeasible ones set to zero, first on ties; the maximum summed posterior
+    variance when nothing scores above zero. Returns (point, score,
+    fallback)."""
+    beta, sigma2_future = _criterion(state)
+    mq = np.empty((grid.shape[0], 2))
+    sq = np.empty_like(mq)
+    var_sum = np.zeros(grid.shape[0])
+    for i, em in enumerate(state.emulators):
+        m, s2 = em.posterior(grid)
+        mq[:, i], sq[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
+        var_sum += s2
+    if len(front) == 0:
+        scores = np.zeros(grid.shape[0])
+    else:
+        scores = moeeqi_scores(front, mq[:, 0], sq[:, 0], mq[:, 1], sq[:, 1], mode)
+    keep = feasible_mask(mq, sq, state.problem.constraints, beta, state.config.literal_constraint_formula)
+    scores = np.where(keep, scores, 0.0)
+    best = int(np.argmax(scores))
+    if scores[best] > 0.0:
+        return grid[best], float(scores[best]), False
+    return grid[int(np.argmax(var_sum))], 0.0, True

@@ -162,6 +162,7 @@ class TestCmdRun:
         ({"beta": 0.7, "n_mc": "10", "n_iter": 2}, None, "n_mc"),
         ({"beta": 0.7, "n_mc": 8, "n_iter": 2}, "-1", "seed"),
         ({"beta": 0.7, "n_mc": 8, "n_iter": 2, "grid_resolutoin": 300}, None, "grid_resolutoin"),
+        ({"beta": 0.7, "n_mc": 8, "n_iter": 2, "min_score": math.nan}, None, "min_score"),
     ])
     def test_invalid_config_value_exits_2_naming_the_field(
         self, tmp_path, capsys, monkeypatch, doc, env_seed, field
@@ -190,6 +191,14 @@ class TestCmdRun:
         ({"env": [{"type": "uniform", "lo": -1.0, "hi": 1.0, "sd": 9.0},
                   {"type": "normal", "mu": 0.0, "sd": 0.5}]}, "'env[0].sd'"),
         ({"control_bounds": [[0.0, 3.0], [0.0, 1.0]]}, "'control_bounds'"),
+        ({"constraints": {"upper_bounds": [math.nan, None]}}, "'constraints.upper_bounds'"),
+        ({"constraints": {"upper_bounds": [None, -math.inf]}}, "'constraints.upper_bounds'"),
+        ({"a": math.nan}, "'a'"),
+        ({"a": math.inf}, "'a'"),
+        ({"env": [{"type": "normal", "mu": math.nan, "sd": 0.5},
+                  {"type": "uniform", "lo": -1.0, "hi": 1.0}]}, "'env[0].mu'"),
+        ({"env": [{"type": "uniform", "lo": -1.0, "hi": 1.0},
+                  {"type": "uniform", "lo": -1.0, "hi": math.inf}]}, "'env[1].hi'"),
     ])
     def test_invalid_problem_field_exits_2_naming_it(self, tmp_path, capsys, extra, field):
         rc = main([

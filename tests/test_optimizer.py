@@ -94,7 +94,7 @@ class TestRunConfig:
         ("refit_hyperparameters", "false"), ("literal_constraint_formula", 1),
         ("n_iter", True), ("min_score", "0.1"), ("seed", -1),
         ("mode_schedule", (("aggressive", 10), ("non_aggressive", -1))),
-        ("fixed_coords", {0.5: 0.1}),
+        ("fixed_coords", {0.5: 0.1}), ("min_score", math.nan),
     ])
     def test_wrong_type_raises_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from moeeqi.pareto import ConstraintSpec
 from moeeqi.problems import (
     CostParams,
     Normal,
@@ -63,6 +64,20 @@ class TestSampleEnvironment:
             Uniform(1.0, 1.0)
         with pytest.raises(ValueError):
             Normal(0.0, 0.0)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Uniform(-math.inf, 1.0), "uniform bounds"),
+        (lambda: Uniform(0.0, math.nan), "uniform bounds"),
+        (lambda: Normal(math.nan, 1.0), "mu"),
+        (lambda: Normal(0.0, math.inf), "sd"),
+        (lambda: toy_problem(math.nan), "a must"),
+        (lambda: toy_problem(math.inf), "a must"),
+        (lambda: ConstraintSpec((math.nan, None)), "upper_bounds"),
+        (lambda: ConstraintSpec((None, math.inf)), "upper_bounds"),
+    ])
+    def test_non_finite_parameters_raise_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Property tests: invariants of front construction, front metrics, the
 improvement criterion, the GP likelihood and posterior variance, replicate
-pooling, config parsing and the initial design, checked on generated inputs
-against independent references; and exact equality of the GP's direct LAPACK
-calls with scipy's wrapper forms."""
+pooling, config parsing, the initial design and the pruned selection, checked
+on generated inputs against independent references; and exact equality of
+the GP's direct LAPACK calls with scipy's wrapper forms."""
 
 import json
 import math
@@ -15,15 +15,16 @@ from hypothesis import strategies as st
 from _oracles import (brute_force_front, emulator_projection_reference, factor_gram_reference,
                       front_metrics_reference, improvement_terms_reference,
                       initial_design_reference, posterior_reference, profiled_loglik_reference,
-                      random_front)
+                      random_front, select_reference)
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
 from moeeqi.gp import (_JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError, KernelParams,
                        NoisyObservation, _factor_gram, _kernel_matrix, _profiled_loglik, _sq_diffs,
                        log_marginal_likelihood)
-from moeeqi.optimizer import RunConfig, front_metrics
-from moeeqi.pareto import FrontPoint, ImprovementMode, _improvement_terms, build_front, moeeqi, moeeqi_scores
-from moeeqi.problems import initial_design
+from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics
+from moeeqi.pareto import (ConstraintSpec, FrontPoint, ImprovementMode, ParetoFront,
+                           _improvement_terms, _score_bounds, build_front, moeeqi, moeeqi_scores)
+from moeeqi.problems import ProblemSpec, Uniform, initial_design
 
 # Small integers make ties in q1 and exact duplicates common.
 _values = st.lists(
@@ -299,6 +300,75 @@ def test_moeeqi_scores_vanish_where_the_improvement_mass_does(seed, size, mode):
     assert np.all(mass[:20] == 0.0)
     scores = moeeqi_scores(front, mu1, sd1, mu2, sd2, mode)
     assert np.all(scores[mass <= 0.0] == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from(list(ImprovementMode)))
+def test_score_bounds_are_at_least_the_scores(seed, size, mode):
+    rng = np.random.default_rng(seed)
+    front = random_front(rng, size)
+    q1, q2 = front.q1s(), front.q2s()
+    n = 80
+    mu1, mu2 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+    sd1, sd2 = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.5, n)
+    # Zero sds in either objective and both; means exactly on a front edge
+    # (a q1) or a top (a q2), and exactly on a front point, where the true
+    # score is 0 and the computed one can be rounding noise; candidates far
+    # inside the front, where the improvement is certain, and far outside
+    # it, where it vanishes.
+    for lo in (0, 30, 40):
+        sd1[lo:lo + 8] = 0.0
+        sd2[lo + 4:lo + 12] = 0.0
+    mu1[:30:2] = rng.choice(q1, 15)
+    mu2[1:30:3] = rng.choice(q2, 10)
+    on = rng.integers(0, size, 10)
+    mu1[30:40], mu2[30:40] = q1[on], q2[on]
+    mu1[40:60], mu2[40:60] = q1[0] - rng.uniform(1.0, 50.0, 20), q2[-1] - rng.uniform(1.0, 50.0, 20)
+    mu1[60:], mu2[60:] = q1[-1] + rng.uniform(1.0, 50.0, 20), q2[0] + rng.uniform(1.0, 50.0, 20)
+    bound = _score_bounds(front, mu1, sd1, mu2, sd2, mode)
+    scores = moeeqi_scores(front, mu1, sd1, mu2, sd2, mode)
+    assert np.all(bound >= scores)
+
+
+@st.composite
+def _selection_states(draw):
+    """A two-objective state on the unit square with hand-set kernels, and a
+    grid of candidates with repeated rows and the design locations."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 8))
+    X = rng.uniform(0.0, 1.0, (size, 2))
+    noisy = draw(st.booleans())
+    datasets = tuple(
+        GpDataset([NoisyObservation(x, float(m), float(v)) for x, m, v in
+                   zip(X, rng.normal(0.0, 1.0, size), rng.uniform(0.0, 0.3, size) * noisy)])
+        for _ in range(2))
+    cut = draw(st.sampled_from(["none", "middle", "all"]))
+    bound = {"none": None, "middle": float(np.median(datasets[0].means())), "all": -1e6}[cut]
+    problem = ProblemSpec(evaluator=lambda xc, xe: np.zeros((len(xe), 2)), env=(Uniform(-1.0, 1.0),),
+                          control_bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+                          constraints=ConstraintSpec((bound, None)))
+    params = [KernelParams(float(rng.uniform(0.5, 2.0)), rng.uniform(0.1, 0.6, 2)) for _ in range(2)]
+    emulators = tuple(GpEmulator(ds, p, control_bounds=problem.control_bounds)
+                      for ds, p in zip(datasets, params))
+    config = RunConfig(beta=draw(st.sampled_from([0.5, 0.7, 0.9])), n_mc=2, n_iter=0,
+                       comparator=draw(st.sampled_from(["moeeqi", "moeei"])),
+                       literal_constraint_formula=draw(st.booleans()))
+    empty = ParetoFront([])
+    state = RunState(problem, config, datasets, emulators, 0, empty, empty)
+    grid = rng.uniform(0.0, 1.0, (draw(st.integers(1, 300)), 2))
+    grid = np.vstack([grid[rng.integers(0, len(grid), draw(st.integers(0, 100)))], grid, X])
+    return state, rng.permutation(grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_selection_states(), st.sampled_from(list(ImprovementMode)), st.booleans())
+def test_select_equals_the_full_argmax(state_grid, mode, empty_front):
+    state, grid = state_grid
+    front = ParetoFront([]) if empty_front else _design_front(state)
+    point, score, fallback = _select(state, front, grid, mode)
+    want_point, want_score, want_fallback = select_reference(state, front, grid, mode)
+    assert point.tobytes() == want_point.tobytes()
+    assert (score, fallback) == (want_score, want_fallback)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,10 @@
 # schedule and once with a constraint; a constrained run with the literal
 # (variance) constraint formula; run with fixed_coords, once pinning x1 at
 # its box edge and once pinning it at 0.9 on the constrained toy, where the
-# constraint filter drops members of the design front; run with the moeei
+# constraint filter drops members of the design front; run on a toy whose
+# q1 bound 0.7 cuts through the middle of the front, so that the filter
+# drops about a third of the candidates at every selection and design rows
+# at every design front; run with the moeei
 # comparator and refit_hyperparameters false; run with a config that leans
 # on defaults and normalization (a whole float n_mc, null seed and
 # min_score, a list-form mode_schedule, no --seed); run on a toy problem
@@ -40,6 +43,9 @@ cat >"$work/toy.json" <<'JSON'
 JSON
 cat >"$work/toy_constrained.json" <<'JSON'
 {"problem": "toy", "a": 0.5, "constraints": {"upper_bounds": [1.1, null]}}
+JSON
+cat >"$work/toy_midcut.json" <<'JSON'
+{"problem": "toy", "a": 0.5, "constraints": {"upper_bounds": [0.7, null]}}
 JSON
 cat >"$work/toy_subbox.json" <<'JSON'
 {"problem": "toy", "a": 0.5, "control_bounds": [[0.2, 1.4], [0.0, 0.8]]}
@@ -92,6 +98,8 @@ cli run --problem "$work/toy_constrained.json" --config "$work/literal.json" \
 cli run --problem "$work/toy.json" --config "$work/fixed.json" --out "$out/run_fixed"
 cli run --problem "$work/toy_constrained.json" --config "$work/pinned.json" \
     --out "$out/run_pinned_constrained"
+cli run --problem "$work/toy_midcut.json" --config "$work/plain.json" --seed 5 \
+    --out "$out/run_midcut_constrained"
 cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_moeei"
 cli run --problem "$work/toy.json" --config "$work/defaults.json" --out "$out/run_defaults"
 cli run --problem "$work/toy_subbox.json" --config "$work/plain.json" --seed 5 \
