@@ -79,6 +79,22 @@ def _resolve_seed(config: RunConfig, cli_seed) -> RunConfig:
         raise ProblemSchemaError(f"invalid seed: {exc}") from exc
 
 
+def _read(option: str, loader, source):
+    """``loader(source)``, with an unreadable file a validation error that
+    names the option."""
+    try:
+        return loader(source)
+    except OSError as exc:
+        raise ProblemSchemaError(f"{option} {source}: {exc.strerror}") from exc
+
+
+def _make_out_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ProblemSchemaError(f"--out {path}: {exc.strerror}") from exc
+
+
 def _config_echo(config: RunConfig) -> dict:
     echo = asdict(config)
     echo["mode_schedule"] = [[m.value, c] for m, c in config.mode_schedule]
@@ -150,11 +166,11 @@ def _write_run_artifacts(state: RunState, out_dir: Path, wall_time: float) -> No
 
 
 def cmd_run(args) -> int:
-    problem = load_problem(args.problem)
-    config, _ = load_config(args.config)
+    problem = _read("--problem", load_problem, args.problem)
+    config, _ = _read("--config", load_config, args.config)
     config = _resolve_seed(config, args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     t0 = time.perf_counter()
     state = run(problem, config)
     _write_run_artifacts(state, out_dir, time.perf_counter() - t0)
@@ -166,12 +182,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    problem = load_problem(args.problem)
+    problem = _read("--problem", load_problem, args.problem)
     if args.resolution < 2:
         raise ProblemSchemaError("field 'resolution' must be at least 2")
-    front = oracle_front(problem, args.resolution)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.is_dir():
+        raise ProblemSchemaError(f"--out {out}: Is a directory")
+    _make_out_dir(out.parent)
+    front = oracle_front(problem, args.resolution)
     _write_front_csv(out, front, problem.dim)
     print(f"oracle front with {len(front)} points written to {out}")
     return 0
@@ -186,15 +204,15 @@ def _study_variants(config: RunConfig, study: dict) -> list:
 
 
 def cmd_study(args) -> int:
-    problem = load_problem(args.problem)
-    config, study = load_config(args.config)
+    problem = _read("--problem", load_problem, args.problem)
+    config, study = _read("--config", load_config, args.config)
     config = _resolve_seed(config, args.seed)
     if args.replicates < 1:
         raise ProblemSchemaError("field 'replicates' must be at least 1")
     pinned_bounds(problem, config.fixed_coords)  # fail before the truth front, not per replicate
     variants = _study_variants(config, study)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     truth = oracle_front(problem, study["truth_resolution"])
 
     records = []
@@ -204,7 +222,8 @@ def cmd_study(args) -> int:
             try:
                 state = run(problem, replace(variant, seed=config.seed + rep))
             except Exception as exc:  # noqa: BLE001 - study keeps going per replicate
-                failures.append({"comparator": comparator, "beta": beta, "replicate": rep, "error": str(exc)})
+                failures.append({"comparator": comparator, "beta": beta, "replicate": rep,
+                                 "type": type(exc).__name__, "error": str(exc)})
                 continue
             for rec in state.history:
                 mean_dist, penalized, size = front_metrics(rec.front, truth)

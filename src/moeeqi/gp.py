@@ -46,8 +46,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # step in turn (up to 1e-4 relative) until the Cholesky succeeds.
 _JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
-# Rows of candidates evaluated together by the grid posterior and the
-# criterion: an (n, S) kernel block and its strip terms stay cache-sized.
+# Rows of candidates evaluated together by the grid posterior and the score
+# bound, which see the whole grid: an (n, S) kernel block and the bound's
+# per-split arrays stay cache-sized.
 _ROW_BLOCK = 4096
 
 _COLD_STARTS = 5  # L-BFGS-B searches of a fit without a warm start

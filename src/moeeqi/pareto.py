@@ -168,51 +168,6 @@ def build_front(q: np.ndarray, sources: np.ndarray | None = None) -> ParetoFront
 # ---------------------------------------------------------------------------
 
 
-def _edge_terms(c: float, mu: np.ndarray, sd: np.ndarray, pos: np.ndarray, safe: np.ndarray,
-                degenerate: bool):
-    """P[X <= c] and sd * phi((c - mu) / sd) for X ~ N(mu, sd^2), elementwise,
-    with ``pos`` = sd > 0 and ``safe`` = sd where positive, else 1. An sd of
-    0 gives the step indicator (0.5 exactly at the boundary) and density 0;
-    an infinite edge gives the constants these equal, 0 or 1 and 0."""
-    if np.isinf(c):
-        return (1.0 if c > 0 else 0.0), 0.0
-    z = (c - mu) / safe
-    cdf = std_normal_cdf(z)
-    pdf = sd * std_normal_pdf(z)
-    if degenerate:
-        step = np.where(mu < c, 1.0, np.where(mu > c, 0.0, 0.5))
-        cdf = np.where(pos, cdf, step)
-        pdf = np.where(pos, pdf, 0.0)
-    return cdf, pdf
-
-
-def _block_terms(edges: np.ndarray, tops: np.ndarray, mu1, sd1, mu2, sd2):
-    """(mass, num1, num2) of one block of candidates, strip by strip."""
-    pos1, pos2 = sd1 > 0.0, sd2 > 0.0
-    safe1, safe2 = np.where(pos1, sd1, 1.0), np.where(pos2, sd2, 1.0)
-    deg1, deg2 = not pos1.all(), not pos2.all()
-    mass = np.zeros_like(mu1)
-    num1 = np.zeros_like(mu1)
-    num2 = np.zeros_like(mu1)
-    # Each strip's right edge is the next one's left edge, and a top may
-    # repeat the one before it: evaluate each once.
-    cdf_a, pdf_a = _edge_terms(edges[0], mu1, sd1, pos1, safe1, deg1)
-    prev_top = None
-    for b1, top in zip(edges[1:], tops):
-        cdf_b, pdf_b = _edge_terms(b1, mu1, sd1, pos1, safe1, deg1)
-        mass1 = cdf_b - cdf_a
-        mom1 = mu1 * mass1 - (pdf_b - pdf_a)
-        if top != prev_top:
-            mass2, pdf2 = _edge_terms(top, mu2, sd2, pos2, safe2, deg2)
-            mom2 = mu2 * mass2 - pdf2
-            prev_top = top
-        mass += mass1 * mass2
-        num1 += mom1 * mass2
-        num2 += mass1 * mom2
-        cdf_a, pdf_a = cdf_b, pdf_b
-    return mass, num1, num2
-
-
 # Allowance for rounding in a computed score, relative to the scale of the
 # coordinates involved; the largest excess of a computed score over the
 # exact bound seen on generated fronts was about 0.2 machine epsilons of it.
@@ -267,26 +222,53 @@ def _score_bounds(front: ParetoFront, mu1, sd1, mu2, sd2, mode: ImprovementMode)
     return out
 
 
+def _normal_edge(mu: np.ndarray, sd: np.ndarray):
+    """The function c -> (P[X <= c], sd * phi((c - mu) / sd)) for X ~ N(mu,
+    sd^2), elementwise. An sd of 0 gives the step indicator (0.5 exactly at
+    the boundary) and density 0; an infinite edge gives the constants these
+    equal, 0 or 1 and 0."""
+    pos = sd > 0.0
+    safe = np.where(pos, sd, 1.0)
+    exact = pos.all()
+
+    def edge(c: float):
+        if np.isinf(c):
+            return (1.0 if c > 0 else 0.0), 0.0
+        z = (c - mu) / safe
+        cdf, pdf = std_normal_cdf(z), sd * std_normal_pdf(z)
+        if exact:
+            return cdf, pdf
+        step = np.where(mu < c, 1.0, np.where(mu > c, 0.0, 0.5))
+        return np.where(pos, cdf, step), np.where(pos, pdf, 0.0)
+
+    return edge
+
+
 def _improvement_terms(front: ParetoFront, mu1, sd1, mu2, sd2, mode: ImprovementMode):
     """Probability mass and unnormalized first moments over the improving region.
 
-    Vectorized over candidates: each of mu1, sd1, mu2, sd2 may be a scalar or
-    an (n,) array. Returns (mass, num1, num2) where num_j integrates q_j over
-    the region against the product density. Candidates are taken
-    ``_ROW_BLOCK`` at a time.
+    Elementwise over candidates: mu1, sd1, mu2, sd2 are scalars or arrays of
+    one shape. Returns (mass, num1, num2) where num_j integrates q_j over the
+    region against the product density. Each strip edge and top is
+    evaluated once: strip j's right edge is strip j + 1's left edge.
     """
     edges, tops = _strips(front, mode)
-    mu1, sd1, mu2, sd2 = np.broadcast_arrays(
-        np.asarray(mu1, float), np.asarray(sd1, float),
-        np.asarray(mu2, float), np.asarray(sd2, float),
-    )
-    cols = [a.ravel() for a in (mu1, sd1, mu2, sd2)]
-    out = np.empty((3, cols[0].size))
+    mu1, sd1, mu2, sd2 = (np.asarray(a, dtype=float) for a in (mu1, sd1, mu2, sd2))
+    edge1, edge2 = _normal_edge(mu1, sd1), _normal_edge(mu2, sd2)
+    mass, num1, num2 = np.zeros_like(mu1), np.zeros_like(mu1), np.zeros_like(mu1)
     with np.errstate(invalid="ignore"):
-        for lo in range(0, out.shape[1], _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            out[:, rows] = _block_terms(edges, tops, *(c[rows] for c in cols))
-    return tuple(o.reshape(mu1.shape) for o in out)
+        cdf_a, pdf_a = edge1(edges[0])
+        for b1, top in zip(edges[1:], tops):
+            cdf_b, pdf_b = edge1(b1)
+            mass1 = cdf_b - cdf_a
+            mom1 = mu1 * mass1 - (pdf_b - pdf_a)
+            mass2, pdf2 = edge2(top)
+            mom2 = mu2 * mass2 - pdf2
+            mass += mass1 * mass2
+            num1 += mom1 * mass2
+            num2 += mass1 * mom2
+            cdf_a, pdf_a = cdf_b, pdf_b
+    return mass, num1, num2
 
 
 def probability_of_improvement(
@@ -327,18 +309,11 @@ def moeeqi_scores(
     """Criterion for a batch of candidates: improvement probability times the
     distance from the region centroid to the nearest front point, zero where
     the probability vanishes."""
-    mass, num1, num2 = _improvement_terms(front, mu1, sd1, mu2, sd2, mode)
-    mass = np.atleast_1d(mass)
-    num1, num2 = np.atleast_1d(num1), np.atleast_1d(num2)
+    mass, num1, num2 = (np.atleast_1d(a) for a in _improvement_terms(front, mu1, sd1, mu2, sd2, mode))
     pos = mass > 0.0
     safe = np.where(pos, mass, 1.0)
-    c1 = num1 / safe
-    c2 = num2 / safe
-    t = front.q1s()
-    z = front.q2s()
-    dist = np.empty_like(mass)
-    for lo in range(0, mass.size, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        d2 = (c1[rows, None] - t[None, :]) ** 2 + (c2[rows, None] - z[None, :]) ** 2
-        dist[rows] = np.sqrt(np.min(d2, axis=1))
-    return np.where(pos, mass * dist, 0.0)
+    c1, c2 = num1 / safe, num2 / safe
+    d2 = np.inf
+    for t, z in zip(front.q1s(), front.q2s()):
+        d2 = np.minimum(d2, (c1 - t) ** 2 + (c2 - z) ** 2)
+    return np.where(pos, mass * np.sqrt(d2), 0.0)

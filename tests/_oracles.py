@@ -6,9 +6,10 @@ package's closed-form code paths. The exceptions are the plain forms of
 fast paths: the fit reference searches the package's likelihood value
 without its gradient, the posterior reference solves against the Cholesky
 factor per call, the strip reference evaluates both edges of every strip
-through one-edge helpers, and the design reference recomputes the whole
-MaxPro criterion on every trial swap, and the selection reference scores
-every grid candidate exactly. The GP linear-algebra references are
+through one-edge helpers, the batch-score reference takes the nearest front
+point from the dense distance array, the design reference recomputes the
+whole MaxPro criterion on every trial swap, and the selection reference
+scores every grid candidate exactly. The GP linear-algebra references are
 the same computations through scipy's validating wrappers (``cho_factor``,
 ``cho_solve``, ``solve_triangular``) instead of the LAPACK routines behind
 them, so the package must match them bit for bit.
@@ -153,6 +154,19 @@ def improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode):
         num1 += mom1 * mass2
         num2 += mass1 * mom2
     return mass, num1, num2
+
+
+def moeeqi_scores_reference(front, mu1, sd1, mu2, sd2, mode):
+    """Batch criterion from the two-edge strip reference: mass times the
+    distance from the centroid to the nearest front point, taken over the
+    dense (n, m) array of squared distances; zero where the mass is not
+    positive."""
+    mass, num1, num2 = improvement_terms_reference(front, mu1, sd1, mu2, sd2, mode)
+    pos = mass > 0.0
+    safe = np.where(pos, mass, 1.0)
+    c1, c2 = num1 / safe, num2 / safe
+    d2 = (c1[:, None] - front.q1s()[None, :]) ** 2 + (c2[:, None] - front.q2s()[None, :]) ** 2
+    return np.where(pos, mass * np.sqrt(np.min(d2, axis=1)), 0.0)
 
 
 def quadrature_improvement(front, qp1, qp2, mode, epsabs=1e-13, epsrel=1e-10):

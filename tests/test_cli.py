@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from moeeqi.cli import load_config, main
+from moeeqi.gp import GpFitError
 from moeeqi.pareto import FrontPoint, ParetoFront
 
 
@@ -310,6 +311,30 @@ class TestCmdStudy:
         assert meta["failures"] == []
         assert meta["replicates"] == 1
 
+    def test_study_meta_records_the_failure_type(self, tmp_path, monkeypatch):
+        from moeeqi import cli
+
+        real_run = cli.run
+
+        def run(problem, config):
+            if config.comparator == "moeeqi" and config.seed == 18:
+                raise GpFitError("no fit")
+            return real_run(problem, config)
+
+        monkeypatch.setattr(cli, "run", run)
+        out = tmp_path / "study"
+        rc = main([
+            "study", "--problem", _problem_file(tmp_path),
+            "--config", _config_file(tmp_path, n_iter=1, truth_resolution=100),
+            "--replicates", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        _, rows = _read_csv(out / "metrics.csv")
+        assert [(r[0], r[2]) for r in rows] == [("moeeqi", "0"), ("moeei", "0"), ("moeei", "1")]
+        meta = json.loads((out / "study_meta.json").read_text())
+        assert meta["failures"] == [{"comparator": "moeeqi", "beta": 0.7, "replicate": 1,
+                                     "type": "GpFitError", "error": "no fit"}]
+
     def test_zero_replicates_rejected(self, tmp_path, capsys):
         rc = main([
             "study", "--problem", _problem_file(tmp_path),
@@ -346,6 +371,42 @@ class TestCmdStudy:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# unusable paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, option, target", [
+    ("run", "--config", "missing"),
+    ("run", "--config", "directory"),
+    ("run", "--problem", "directory"),
+    ("study", "--problem", "directory"),
+    ("run", "--out", "file"),
+    ("study", "--out", "file"),
+    ("oracle", "--out", "directory"),
+])
+def test_unusable_path_exits_2_naming_the_option_before_any_work(
+        tmp_path, capsys, monkeypatch, command, option, target):
+    def no_work(*args):
+        raise RuntimeError("work started before the paths were checked")
+
+    monkeypatch.setattr("moeeqi.cli.run", no_work)
+    monkeypatch.setattr("moeeqi.cli.oracle_front", no_work)
+    bad = tmp_path / "bad"
+    if target == "directory":
+        bad.mkdir()
+    elif target == "file":
+        bad.write_text("")
+    paths = {"--problem": _problem_file(tmp_path), "--out": str(tmp_path / "out")}
+    if command != "oracle":
+        paths["--config"] = _config_file(tmp_path)
+    paths[option] = str(bad)
+    extra = {"run": [], "study": ["--replicates", "1"], "oracle": ["--resolution", "50"]}[command]
+    rc = main([command] + [a for pair in paths.items() for a in pair] + extra)
+    assert rc == 2
+    assert option in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from _oracles import (brute_force_front, emulator_projection_reference, factor_gram_reference,
                       front_metrics_reference, improvement_terms_reference,
-                      initial_design_reference, posterior_reference, profiled_loglik_reference,
+                      initial_design_reference, moeeqi_scores_reference, posterior_reference, profiled_loglik_reference,
                       random_front, select_reference)
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
@@ -281,6 +281,28 @@ def test_moeeqi_scores_are_batch_invariant_and_non_negative(seed, size, mode):
     for i in range(n):
         one = moeeqi(front, QuantilePosterior(mu1[i], sd1[i]), QuantilePosterior(mu2[i], sd2[i]), mode)
         assert scores[i] == one
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from(list(ImprovementMode)))
+def test_moeeqi_scores_equal_the_dense_reference(seed, size, mode):
+    rng = np.random.default_rng(seed)
+    front = random_front(rng, size)
+    q1, q2 = front.q1s(), front.q2s()
+    n = 60
+    mu1, mu2 = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+    sd1, sd2 = rng.uniform(0.0, 1.5, n), rng.uniform(0.0, 1.5, n)
+    # Zero sds in either objective and both; means exactly on a strip edge
+    # (a q1), on a top (a q2), and on a front point.
+    for lo in (0, 30):
+        sd1[lo:lo + 8] = 0.0
+        sd2[lo + 4:lo + 12] = 0.0
+    mu1[:30:2] = rng.choice(q1, 15)
+    mu2[1:30:3] = rng.choice(q2, 10)
+    on = rng.integers(0, size, 10)
+    mu1[30:40], mu2[30:40] = q1[on], q2[on]
+    got = moeeqi_scores(front, mu1, sd1, mu2, sd2, mode)
+    assert np.array_equal(got, moeeqi_scores_reference(front, mu1, sd1, mu2, sd2, mode))
 
 
 @settings(max_examples=200, deadline=None)

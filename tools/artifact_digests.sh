@@ -3,8 +3,11 @@
 # fixed set of seeded configs. Two source trees produce the same listing
 # exactly when their same-seed artifacts are byte-identical.
 #
-# usage: tools/artifact_digests.sh <src-dir>
-#   <src-dir> is the directory holding the moeeqi package, e.g. src.
+# usage: tools/artifact_digests.sh <src-dir | git-revision>
+#   <src-dir> is the directory holding the moeeqi package, e.g. src; a git
+#   revision, e.g. HEAD, stands for the src/ of that revision, so that
+#   diff <(tools/artifact_digests.sh HEAD) <(tools/artifact_digests.sh src)
+#   checks the working tree against the last commit.
 #
 # The configs: run on toy(a=0.5) for seeds 1-3, once with a mixed mode
 # schedule and once with a constraint; a constrained run with the literal
@@ -19,19 +22,30 @@
 # min_score, a list-form mode_schedule, no --seed); run on a toy problem
 # whose control_bounds are a sub-box of the default one; run on an 80x80 grid
 # (6,400 candidates, more than one row block of the posterior and the
-# criterion); a 2-replicate study; and
+# score bound); a 2-replicate study; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
 # (wall times) are not listed. Exits 1 without a listing unless some run's
 # observations.csv has a row with replications > 1.
 set -euo pipefail
 
-if [ $# -ne 1 ] || [ ! -d "$1/moeeqi" ]; then
-    echo "usage: $0 <src-dir holding the moeeqi package>" >&2
+usage() {
+    echo "usage: $0 <src-dir holding the moeeqi package | git revision>" >&2
     exit 2
-fi
-src=$(cd "$1" && pwd)
+}
+[ $# -eq 1 ] || usage
+repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+if [ -d "$1/moeeqi" ]; then
+    src=$(cd "$1" && pwd)
+elif git -C "$repo" rev-parse --verify --quiet "$1^{commit}" >/dev/null; then
+    mkdir "$work/rev"
+    git -C "$repo" archive "$1" src | tar -x -C "$work/rev"
+    src="$work/rev/src"
+    [ -d "$src/moeeqi" ] || usage
+else
+    usage
+fi
 
 cli() {
     env -u MOEEQI_SEED PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 \
