@@ -45,9 +45,9 @@ class QuantilePosterior:
             raise ValueError("quantile posterior sd must be non-negative")
 
 
-def quantile_posterior_arrays(mean, var, sigma2_new: float, beta: float):
+def quantile_posterior_arrays(mean, var, sigma2_new, beta: float):
     """Elementwise ``quantile_posterior`` over arrays of posterior means and
-    variances, without input validation; returns (means, sds)."""
+    variances (and of ``sigma2_new``), without input validation; returns (means, sds)."""
     mean = np.asarray(mean, float)
     var = np.asarray(var, float)
     total = var + sigma2_new

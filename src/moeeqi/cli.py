@@ -23,7 +23,8 @@ from . import __version__
 from .gp import whole_number
 from .optimizer import RunConfig, RunState, front_metrics, pinned_bounds, run
 from .pareto import ParetoFront
-from .problems import ProblemSchemaError, load_problem, oracle_front, read_field, reject_unknown
+from .problems import (ProblemSchemaError, load_problem, oracle_front, read_document, read_field,
+                       reject_unknown)
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -36,16 +37,7 @@ def load_config(source) -> tuple[RunConfig, dict]:
     a null field takes its default, ``fixed_coords`` keys are strings, and a
     key that is not a RunConfig field is an error rather than ignored.
     """
-    if isinstance(source, dict):
-        doc = dict(source)
-    else:
-        try:
-            doc = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ProblemSchemaError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ProblemSchemaError(f"config must be a JSON object, got {type(doc).__name__}")
-    doc = {key: value for key, value in doc.items() if value is not None}
+    doc = {k: v for k, v in read_document(source, "config").items() if v is not None}
     study = {"study_betas": doc.pop("study_betas", None),
              "truth_resolution": doc.pop("truth_resolution", 500)}
     reject_unknown(doc, {f.name for f in fields(RunConfig)}, "config")
@@ -69,6 +61,8 @@ def _check_study_betas(config: RunConfig, betas) -> None:
         raise ValueError("expected at least one beta")
     for b in betas:
         replace(config, beta=b)  # RunConfig's own check
+    if len(set(betas)) < len(betas):
+        raise ValueError("expected distinct betas")
 
 
 def _resolve_seed(config: RunConfig, cli_seed) -> RunConfig:

@@ -167,19 +167,28 @@ def _criterion(state: "RunState") -> tuple:
     return 0.5, [0.0, 0.0]
 
 
+def _quantiles(state: "RunState", X: np.ndarray) -> tuple:
+    """The comparator's beta, each objective's posterior ``(mean, variance)``
+    at ``X`` and the one-step-ahead quantile means and sds, all (n, 2) arrays;
+    a quantile that is not finite is a ValueError naming the objective."""
+    beta, sigma2_future = _criterion(state)
+    m, s2 = np.stack([em.posterior(X) for em in state.emulators], axis=-1)
+    mq, sq = quantile_posterior_arrays(m, s2, np.array(sigma2_future), beta)
+    if not (np.isfinite(mq).all() and np.isfinite(sq).all()):
+        bad = ~(np.isfinite(mq) & np.isfinite(sq))
+        i = int(np.argmax(bad.any(axis=0)))
+        raise ValueError(f"objective {i + 1}: the quantile posterior is not finite at "
+                         f"{np.count_nonzero(bad[:, i])} of {len(X)} points; rescale the objective")
+    return beta, (m, s2), mq, sq
+
+
 def _design_front(state: "RunState") -> ParetoFront:
     """Front of current-emulator quantiles at the design locations, with the
     noise-adjusted constraint filter applied."""
-    beta, sigma2_future = _criterion(state)
     locations = state.datasets[0].locations()
-    z = float(std_normal_quantile(beta))
-    quantiles = np.empty((locations.shape[0], 2))
-    adj_sd = np.empty_like(quantiles)
-    for i, em in enumerate(state.emulators):
-        m, s2 = em.posterior(locations)
-        quantiles[:, i] = m + z * np.sqrt(s2)
-        _, adj_sd[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
-    keep = feasible_mask(quantiles, adj_sd, state.problem.constraints, beta,
+    beta, (m, s2), _, sd = _quantiles(state, locations)
+    quantiles = m + float(std_normal_quantile(beta)) * np.sqrt(s2)
+    keep = feasible_mask(quantiles, sd, state.problem.constraints, beta,
                          state.config.literal_constraint_formula)
     return build_front(quantiles[keep], locations[keep])
 
@@ -195,14 +204,7 @@ def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: Impro
     ``_SEED_CANDIDATES`` largest bounds are scored. The bound holds for the
     computed scores, rounding included, so the result equals the full
     argmax."""
-    beta, sigma2_future = _criterion(state)
-    mq = np.empty((grid.shape[0], 2))
-    sq = np.empty_like(mq)
-    var_sum = np.zeros(grid.shape[0])
-    for i, em in enumerate(state.emulators):
-        m, s2 = em.posterior(grid)
-        mq[:, i], sq[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
-        var_sum += s2
+    beta, (_, s2), mq, sq = _quantiles(state, grid)
     rows = np.flatnonzero(feasible_mask(mq, sq, state.problem.constraints, beta,
                                         state.config.literal_constraint_formula))
     if len(front) > 0 and rows.size > 0:
@@ -215,7 +217,7 @@ def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: Impro
         top = int(np.argmax(scores))
         if scores[top] > 0.0:
             return grid[rows[live[top]]], float(scores[top]), False
-    return grid[int(np.argmax(var_sum))], 0.0, True
+    return grid[int(np.argmax(s2[:, 0] + s2[:, 1]))], 0.0, True
 
 
 def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode):

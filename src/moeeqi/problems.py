@@ -38,6 +38,7 @@ __all__ = [
     "initial_design",
     "candidate_grid",
     "load_problem",
+    "read_document",
 ]
 
 TOY_CONTROL_BOUNDS = np.array([[0.0, math.pi / 2.0], [0.0, 1.0]])
@@ -401,13 +402,13 @@ def reject_unknown(doc: dict, known, document: str, where: str = "") -> None:
 def read_field(doc, key: str, parse=None, where: str = "", default=_REQUIRED):
     """``parse(doc[key])``, or ``doc[key]`` without ``parse``, for the field
     ``where + key`` of a JSON object; an absent or null field gives
-    ``default`` when one is passed. A document that is not an object, a
-    missing field, or a TypeError or ValueError from ``parse`` is a
+    ``default`` when one is passed. A part ``where`` that is not an object,
+    a missing field, or a TypeError or ValueError from ``parse`` is a
     ProblemSchemaError that names the field path."""
     path = f"{where}{key}"
     if not isinstance(doc, dict):
         raise ProblemSchemaError(
-            f"'{where.rstrip('.') or 'document'}' must be a JSON object, got {type(doc).__name__}")
+            f"'{where.rstrip('.')}' must be a JSON object, got {type(doc).__name__}")
     if doc.get(key) is None and default is not _REQUIRED:
         return default
     if key not in doc:
@@ -469,29 +470,32 @@ def _parse_control_bounds(bounds) -> np.ndarray:
     return bounds
 
 
-def _is_path(source) -> bool:
-    # A JSON document longer than the file-name limit makes the probe raise.
+def read_document(source, what: str) -> dict:
+    """A copy of a dict, inline JSON text (first non-blank character ``{`` or
+    ``[``), or else the file at that path, whose OSError propagates; bad JSON
+    or JSON that is not an object is a ProblemSchemaError naming ``what``."""
+    if isinstance(source, dict):
+        return dict(source)
+    text = str(source)
+    if not text.lstrip().startswith(("{", "[")):
+        text = Path(text).read_text()
     try:
-        return Path(str(source)).exists()
-    except (OSError, ValueError):
-        return False
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemSchemaError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProblemSchemaError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def load_problem(source) -> ProblemSpec:
-    """Build a ProblemSpec from a JSON document (path, JSON string, or dict).
+    """Build a ProblemSpec from a JSON document (see ``read_document``).
 
     See README for the schema; a key outside it is an error. Only the
     benchmark family ('toy') ships with the package; custom problems are
     constructed in code.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = Path(source).read_text() if _is_path(source) else str(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ProblemSchemaError(f"problem document is not valid JSON: {exc}") from exc
+    doc = read_document(source, "problem document")
     kind = read_field(doc, "problem")
     if kind != "toy":
         raise ProblemSchemaError(f"field 'problem' must be 'toy', got {kind!r}")

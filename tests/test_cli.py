@@ -218,6 +218,17 @@ class TestCmdRun:
         ])
         assert rc == 0
 
+    def test_inline_config_gives_the_artifacts_of_its_file(self, tmp_path):
+        config = _config_file(tmp_path)
+        args = lambda source, out: [
+            "run", "--problem", _problem_file(tmp_path),
+            "--config", source, "--out", str(tmp_path / out),
+        ]
+        assert main(args(config, "file")) == 0
+        assert main(args("  " + Path(config).read_text(), "inline")) == 0
+        for name in ("observations.csv", "front.csv", "evolution.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -361,6 +372,7 @@ class TestCmdStudy:
         ({"truth_resolution": 1}, "truth_resolution"),
         ({"study_betas": [1.5]}, "study_betas"),
         ({"study_betas": []}, "study_betas"),
+        ({"study_betas": [0.7, 0.7]}, "study_betas"),
     ])
     def test_invalid_study_field_exits_2_before_the_truth_front(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "study"
@@ -381,6 +393,8 @@ class TestCmdStudy:
 @pytest.mark.parametrize("command, option, target", [
     ("run", "--config", "missing"),
     ("run", "--config", "directory"),
+    ("run", "--problem", "missing"),
+    ("oracle", "--problem", "missing"),
     ("run", "--problem", "directory"),
     ("study", "--problem", "directory"),
     ("run", "--out", "file"),
@@ -406,7 +420,8 @@ def test_unusable_path_exits_2_naming_the_option_before_any_work(
     extra = {"run": [], "study": ["--replicates", "1"], "oracle": ["--resolution", "50"]}[command]
     rc = main([command] + [a for pair in paths.items() for a in pair] + extra)
     assert rc == 2
-    assert option in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert option in err and str(bad) in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from moeeqi.optimizer import (
     Metrics,
     RunConfig,
     RunState,
+    _design_front,
+    _select,
     evaluate_metrics,
     front_metrics,
     run,
@@ -355,6 +357,31 @@ class TestSelection:
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
+
+
+class TestQuantileTable:
+    @pytest.mark.parametrize("where", ["design front", "grid"])
+    def test_non_finite_quantile_is_an_error_naming_the_objective(self, monkeypatch, where):
+        X = np.linspace(0.05, 0.95, 5)
+        obs1 = [NoisyObservation([x], float(np.sin(6 * x)), 0.01) for x in X]
+        obs2 = [NoisyObservation([x], float(np.cos(6 * x)), 0.01) for x in X]
+        state = _manual_state(obs1, obs2, KernelParams(1.0, [0.3]))
+        plain = state.emulators[1].posterior
+
+        def posterior(x):
+            m, s2 = plain(x)
+            m[2] = math.nan
+            return m, s2
+
+        monkeypatch.setattr(state.emulators[1], "posterior", posterior)
+        if where == "design front":
+            with pytest.raises(ValueError, match="^objective 2: the quantile posterior is not "
+                                                 "finite at 1 of 5 points; rescale the objective$"):
+                _design_front(state)
+        else:
+            grid = np.linspace(0.0, 1.0, 40)[:, None]
+            with pytest.raises(ValueError, match="^objective 2: .* not finite at 1 of 40 points"):
+                _select(state, ParetoFront([]), grid, AGG)
 
 
 class TestMetrics:

@@ -1,8 +1,8 @@
 """Property tests: invariants of front construction, front metrics, the
 improvement criterion, the GP likelihood and posterior variance, replicate
-pooling, config parsing, the initial design and the pruned selection, checked
-on generated inputs against independent references; and exact equality of
-the GP's direct LAPACK calls with scipy's wrapper forms."""
+pooling, config parsing, document reading, the initial design and the pruned
+selection, checked on generated inputs against independent references; and
+exact equality of the GP's direct LAPACK calls with scipy's wrapper forms."""
 
 import json
 import math
@@ -24,7 +24,7 @@ from moeeqi.gp import (_JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitEr
 from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics
 from moeeqi.pareto import (ConstraintSpec, FrontPoint, ImprovementMode, ParetoFront,
                            _improvement_terms, _score_bounds, build_front, moeeqi, moeeqi_scores)
-from moeeqi.problems import ProblemSpec, Uniform, initial_design
+from moeeqi.problems import ProblemSchemaError, ProblemSpec, Uniform, initial_design, read_document
 
 # Small integers make ties in q1 and exact duplicates common.
 _values = st.lists(
@@ -480,3 +480,32 @@ def _configs(draw):
 def test_load_config_reads_back_the_echo_of_a_config(config):
     doc = json.loads(json.dumps(_config_echo(config)))
     assert load_config(doc) == (config, {"study_betas": None, "truth_resolution": 500})
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _json_values, max_size=6), st.text(" \t\r\n", max_size=3),
+       _json_values.filter(lambda v: not isinstance(v, dict)), st.sampled_from(["problem", "config"]))
+def test_read_document_reads_one_object_from_a_dict_text_or_file(tmp_path_factory, doc, blanks,
+                                                                  other, what):
+    before = dict(doc)
+    copy = read_document(doc, what)
+    assert copy == doc
+    copy.clear()
+    assert doc == before
+    assert read_document(blanks + json.dumps(doc), what) == doc
+    folder = tmp_path_factory.mktemp("documents")
+    (folder / "doc.json").write_text(json.dumps(doc))
+    assert read_document(str(folder / "doc.json"), what) == doc
+    (folder / "other.json").write_text(json.dumps(other))
+    for source in (str(folder / "other.json"), blanks + json.dumps([other])):
+        with pytest.raises(ProblemSchemaError, match=f"^{what} must be a JSON object"):
+            read_document(source, what)
+    with pytest.raises(FileNotFoundError):
+        read_document(str(folder / "missing.json"), what)

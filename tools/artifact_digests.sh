@@ -20,7 +20,9 @@
 # comparator and refit_hyperparameters false; run with a config that leans
 # on defaults and normalization (a whole float n_mc, null seed and
 # min_score, a list-form mode_schedule, no --seed); run on a toy problem
-# whose control_bounds are a sub-box of the default one; run on an 80x80 grid
+# whose control_bounds are a sub-box of the default one, once from the file
+# and once with the same document passed inline as --problem text (the two
+# must list the same digests); run on an 80x80 grid
 # (6,400 candidates, more than one row block of the posterior and the
 # score bound); a 2-replicate study; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
@@ -118,6 +120,8 @@ cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_m
 cli run --problem "$work/toy.json" --config "$work/defaults.json" --out "$out/run_defaults"
 cli run --problem "$work/toy_subbox.json" --config "$work/plain.json" --seed 5 \
     --out "$out/run_subbox"
+cli run --problem "$(cat "$work/toy_subbox.json")" --config "$work/plain.json" --seed 5 \
+    --out "$out/run_subbox_inline"
 cli run --problem "$work/toy.json" --config "$work/grid80.json" --out "$out/run_grid80"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
