@@ -57,6 +57,7 @@ from .problems import (
     ProblemSchemaError,
     ProblemSpec,
     Uniform,
+    candidate_axes,
     candidate_grid,
     ground_truth,
     initial_design,

@@ -52,7 +52,10 @@ def quantile_posterior_arrays(mean, var, sigma2_new, beta: float):
     var = np.asarray(var, float)
     total = var + sigma2_new
     safe = np.where(total > 0.0, total, 1.0)
-    shift = float(std_normal_quantile(beta)) * np.sqrt(sigma2_new * var / safe)
+    # sqrt(var) sqrt(sigma2_new / total), not sqrt(sigma2_new var / total): the
+    # product of two variances overflows or underflows at objective scales
+    # whose quantiles are representable.
+    shift = float(std_normal_quantile(beta)) * np.sqrt(var) * np.sqrt(sigma2_new / safe)
     sd = var / np.sqrt(safe)
     zero = total <= 0.0
     return np.where(zero, mean, mean + shift), np.where(zero, 0.0, sd)

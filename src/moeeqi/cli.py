@@ -250,16 +250,21 @@ def cmd_study(args) -> int:
 
 
 def _write_study_summary(out_dir: Path, records: list) -> None:
-    """Per-iteration mean and 5%/95% bands across replicates for each variant."""
+    """Per-iteration mean and 5%/95% bands across replicates for each variant;
+    the distance cells skip the replicates with an empty front (a nan
+    distance), and are nan when every replicate's front is empty."""
     groups = {}
     for comparator, beta, _, iteration, dist, _, _, size, score in records:
         groups.setdefault((comparator, beta, iteration), []).append((dist, size, score))
     out = []
     for (comparator, beta, iteration), vals in sorted(groups.items()):
         dist, size, score = np.array(vals, dtype=float).T
+        if np.isnan(dist).all():  # numpy's nan-functions would warn on an all-nan slice
+            dist_cells = [np.nan] * 3
+        else:
+            dist_cells = [np.nanmean(dist), np.nanpercentile(dist, 5), np.nanpercentile(dist, 95)]
         out.append(
-            [comparator, _fmt(beta), str(iteration),
-             _fmt(np.nanmean(dist)), _fmt(np.nanpercentile(dist, 5)), _fmt(np.nanpercentile(dist, 95)),
+            [comparator, _fmt(beta), str(iteration), *map(_fmt, dist_cells),
              _fmt(size.mean()), _fmt(np.percentile(size, 5)), _fmt(np.percentile(size, 95)),
              _fmt(score.mean())]
         )

@@ -46,9 +46,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # step in turn (up to 1e-4 relative) until the Cholesky succeeds.
 _JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
-# Rows of candidates evaluated together by the grid posterior and the score
-# bound, which see the whole grid: an (n, S) kernel block and the bound's
-# per-split arrays stay cache-sized.
+# Rows of candidates evaluated together by the posterior of a point stack
+# (a block of pairwise distances, or a slab of a lattice's per-axis factor
+# products) and by the score bound, which see the whole grid: an (n, S)
+# kernel block and the bound's per-split arrays stay cache-sized.
 _ROW_BLOCK = 4096
 
 _COLD_STARTS = 5  # L-BFGS-B searches of a fit without a warm start
@@ -449,7 +450,7 @@ class GpEmulator:
         """Map control inputs to internal (unit-cube) coordinates."""
         return (np.asarray(x, dtype=float) - self._lb) / self._span
 
-    def posterior(self, x) -> tuple:
+    def posterior(self, x, axes=None) -> tuple:
         """Posterior mean and variance of the latent objective at ``x``.
 
         The variance is the three-term stochastic-kriging form: prior
@@ -457,18 +458,21 @@ class GpEmulator:
         estimating the constant trend. Accepts a single point (shape (v,))
         or a stack of points (shape (n, v)); returns floats or arrays
         accordingly. Round-off is clamped so variances are never negative.
-        A stack is evaluated ``_ROW_BLOCK`` rows at a time: one kernel block
-        and one product with the cached projection each.
+        A stack is evaluated at most ``_ROW_BLOCK`` rows at a time: one
+        kernel block and one product with the cached projection each.
+
+        ``axes``, when given, are the per-coordinate values whose
+        lexicographic product (first coordinate slowest) is the stack ``x``,
+        as ``problems.candidate_axes`` gives them; only the shapes are
+        checked, and the kernel blocks come from ``_lattice_blocks``.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        Xq = self.scale(np.atleast_2d(x))
+        Xq = np.atleast_2d(x)
+        blocks = self._point_blocks(Xq) if axes is None else self._lattice_blocks(Xq, axes)
         mean = np.empty(Xq.shape[0])
         var = np.empty(Xq.shape[0])
-        for lo in range(0, Xq.shape[0], _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            k = _kernel_matrix(self.params.process_variance, self.params.lengthscales, Xq[rows],
-                               self._X)  # (block, S)
+        for rows, k in blocks:  # k is the (block, S) kernel block of the rows
             kp = k @ self._proj
             h = 1.0 - kp[:, 1]
             w = kp[:, 2:]
@@ -479,6 +483,53 @@ class GpEmulator:
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
+
+    def _point_blocks(self, x: np.ndarray):
+        """(rows, kernel block) pairs for an (n, v) stack of points,
+        ``_ROW_BLOCK`` rows at a time, from pairwise distances."""
+        Xq = self.scale(x)
+        for lo in range(0, Xq.shape[0], _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            yield rows, _kernel_matrix(self.params.process_variance, self.params.lengthscales,
+                                       Xq[rows], self._X)
+
+    def _lattice_blocks(self, x: np.ndarray, axes):
+        """(rows, kernel block) pairs for the stack ``x`` that is the
+        lexicographic product of ``axes``.
+
+        The kernel is a product over coordinates, so with the per-axis
+        tables E_k[i, s] = exp(-(g_ik - x_sk)^2 / 2 l_k^2) every row of the
+        block is a product of one row of each table: v r S exponentials
+        instead of r^v S. The trailing axes whose product fits in
+        ``_ROW_BLOCK`` rows (at least one axis is left leading) make one tail
+        table, with the process variance folded in; each block is a slab of
+        consecutive leading-axis rows times the tail, at most ``_ROW_BLOCK``
+        rows, built only when the loop reaches it.
+        """
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        sizes = [a.size for a in axes]
+        if any(a.ndim != 1 for a in axes) or x.shape != (math.prod(sizes), len(axes)):
+            raise ValueError(f"axes of sizes {sizes} do not make the points of shape {x.shape}")
+        S = self._X.shape[0]
+        tables = []
+        for k, a in enumerate(axes):
+            d = ((a - self._lb[k]) / self._span[k])[:, None] - self._X[:, k]
+            d /= self.params.lengthscales[k]
+            tables.append(np.exp(-0.5 * d * d))  # (r_k, S)
+        tail = np.full((1, S), self.params.process_variance)
+        lead = len(tables)
+        while lead > 1 and len(tail) * sizes[lead - 1] <= _ROW_BLOCK:
+            lead -= 1
+            tail = (tables[lead][:, None, :] * tail).reshape(-1, S)
+        per = _ROW_BLOCK // len(tail)
+        count = math.prod(sizes[:lead])
+        for lo in range(0, count, per):
+            idx = np.unravel_index(np.arange(lo, min(lo + per, count)), sizes[:lead])
+            head = tables[0][idx[0]]
+            for table, i in zip(tables[1:lead], idx[1:]):
+                head = head * table[i]
+            yield (slice(lo * len(tail), (lo + per) * len(tail)),
+                   (head[:, None, :] * tail).reshape(-1, S))
 
     def quantile(self, x, beta: float):
         """beta-quantile of the posterior: m(x) + PHI^{-1}(beta) s(x)."""

@@ -25,6 +25,7 @@ from .pareto import (ImprovementMode, ParetoFront, _score_bounds, build_front, f
 from .problems import (
     ProblemSchemaError,
     ProblemSpec,
+    candidate_axes,
     candidate_grid,
     initial_design,
     mc_aggregate,  # noqa: F401 - bound here only so benchmark tracing can find it
@@ -167,12 +168,14 @@ def _criterion(state: "RunState") -> tuple:
     return 0.5, [0.0, 0.0]
 
 
-def _quantiles(state: "RunState", X: np.ndarray) -> tuple:
+def _quantiles(state: "RunState", X: np.ndarray, axes=None) -> tuple:
     """The comparator's beta, each objective's posterior ``(mean, variance)``
     at ``X`` and the one-step-ahead quantile means and sds, all (n, 2) arrays;
-    a quantile that is not finite is a ValueError naming the objective."""
+    a quantile that is not finite is a ValueError naming the objective.
+    ``axes``, when given, are the per-coordinate values whose product is
+    ``X`` (see ``GpEmulator.posterior``)."""
     beta, sigma2_future = _criterion(state)
-    m, s2 = np.stack([em.posterior(X) for em in state.emulators], axis=-1)
+    m, s2 = np.stack([em.posterior(X, axes=axes) for em in state.emulators], axis=-1)
     mq, sq = quantile_posterior_arrays(m, s2, np.array(sigma2_future), beta)
     if not (np.isfinite(mq).all() and np.isfinite(sq).all()):
         bad = ~(np.isfinite(mq) & np.isfinite(sq))
@@ -193,18 +196,20 @@ def _design_front(state: "RunState") -> ParetoFront:
     return build_front(quantiles[keep], locations[keep])
 
 
-def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: ImprovementMode):
+def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: ImprovementMode,
+            axes=None):
     """Argmax of the criterion over the grid against the design-location
-    ``front``, first on ties. Candidates failing the constraint filter are
-    not scored; when no candidate scores above zero, the point of largest
-    summed posterior variance is taken instead. Returns (point, score,
-    fallback).
+    ``front``, first on ties; ``axes`` are the grid's per-coordinate values
+    when it is a lattice (see ``_quantiles``). Candidates failing the
+    constraint filter are not scored; when no candidate scores above zero,
+    the point of largest summed posterior variance is taken instead.
+    Returns (point, score, fallback).
 
     Only candidates whose score bound reaches the best exact score among the
     ``_SEED_CANDIDATES`` largest bounds are scored. The bound holds for the
     computed scores, rounding included, so the result equals the full
     argmax."""
-    beta, (_, s2), mq, sq = _quantiles(state, grid)
+    beta, (_, s2), mq, sq = _quantiles(state, grid, axes)
     rows = np.flatnonzero(feasible_mask(mq, sq, state.problem.constraints, beta,
                                         state.config.literal_constraint_formula))
     if len(front) > 0 and rows.size > 0:
@@ -279,6 +284,7 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
     """
     rng = np.random.default_rng(config.seed)
     bounds = pinned_bounds(problem, config.fixed_coords)
+    axes = candidate_axes(bounds, config.grid_resolution)
     grid = candidate_grid(bounds, config.grid_resolution)
 
     design = initial_design(config.initial_design_size, bounds, rng)
@@ -301,7 +307,7 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunState:
     state.initial_front = state.front = _design_front(state)
 
     for it, mode in enumerate(config.iteration_modes(), start=1):
-        point, score, fallback = _select(state, state.front, grid, mode)
+        point, score, fallback = _select(state, state.front, grid, mode, axes)
         if config.min_score is not None and not fallback and score < config.min_score:
             state.stopped_early = True
             break

@@ -36,6 +36,7 @@ __all__ = [
     "intervention_cost",
     "intervention_cost_parts",
     "initial_design",
+    "candidate_axes",
     "candidate_grid",
     "load_problem",
     "read_document",
@@ -365,17 +366,22 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
     return bounds[:, 0] + best * (bounds[:, 1] - bounds[:, 0])
 
 
-def candidate_grid(bounds, resolution: int) -> np.ndarray:
-    """Full-factorial candidate grid including the boundary values, ordered
-    lexicographically so argmax tie-breaking is deterministic. An axis with
-    lo == hi is pinned to its single value."""
+def candidate_axes(bounds, resolution: int) -> list:
+    """Per-coordinate values of the candidate grid: ``resolution`` evenly
+    spaced values from lo to hi, both included, or the single value of an
+    axis with lo == hi (a pinned axis)."""
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValueError(f"grid bounds must satisfy lo <= hi, got {bounds.tolist()}")
-    axes = [np.array([lo]) if lo == hi else np.linspace(lo, hi, resolution) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return [np.array([lo]) if lo == hi else np.linspace(lo, hi, resolution) for lo, hi in bounds]
+
+
+def candidate_grid(bounds, resolution: int) -> np.ndarray:
+    """Full-factorial product of ``candidate_axes``, ordered lexicographically
+    (the first coordinate slowest) so argmax tie-breaking is deterministic."""
+    mesh = np.meshgrid(*candidate_axes(bounds, resolution), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 

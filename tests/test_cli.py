@@ -311,6 +311,23 @@ class TestCmdStudy:
             lo, mean, hi = float(r[i_dist + 1]), float(r[i_dist]), float(r[i_dist + 2])
             assert lo <= mean <= hi
 
+    @pytest.mark.filterwarnings("error")
+    def test_all_empty_fronts_summarize_to_nan_without_warnings(self, tmp_path):
+        # q1 <= -5 holds nowhere, so every replicate's front is empty
+        out = tmp_path / "study"
+        rc = main([
+            "study", "--problem", _problem_file(tmp_path, constraints={"upper_bounds": [-5, None]}),
+            "--config", _config_file(tmp_path, n_iter=2, truth_resolution=100),
+            "--replicates", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        header, rows = _read_csv(out / "summary.csv")
+        i_dist = header.index("mean_distance_mean")
+        assert len(rows) == 2 * 2  # 2 variants x 2 iterations
+        for r in rows:
+            assert r[i_dist:i_dist + 3] == ["nan", "nan", "nan"]
+            assert r[header.index("front_size_mean")] == "0"
+
     def test_study_meta_records_failures_field(self, tmp_path):
         out = tmp_path / "study"
         config = _config_file(tmp_path, n_iter=1, truth_resolution=100)

@@ -368,8 +368,8 @@ class TestQuantileTable:
         state = _manual_state(obs1, obs2, KernelParams(1.0, [0.3]))
         plain = state.emulators[1].posterior
 
-        def posterior(x):
-            m, s2 = plain(x)
+        def posterior(x, axes=None):
+            m, s2 = plain(x, axes=axes)
             m[2] = math.nan
             return m, s2
 
@@ -382,6 +382,23 @@ class TestQuantileTable:
             grid = np.linspace(0.0, 1.0, 40)[:, None]
             with pytest.raises(ValueError, match="^objective 2: .* not finite at 1 of 40 points"):
                 _select(state, ParetoFront([]), grid, AGG)
+
+
+class TestObjectiveScale:
+    @pytest.mark.parametrize("k", [300, -300])
+    def test_scaling_both_objectives_by_a_power_of_two_keeps_the_run(self, k):
+        # 2**k scales exactly; at k = 300 the product of two posterior
+        # variances overflows, at k = -300 it underflows.
+        toy = toy_problem(0.5)
+        factor = 2.0**k
+        scaled = dataclasses.replace(toy, evaluator=lambda xc, xe: toy.evaluator(xc, xe) * factor,
+                                     truth=None)
+        config = RunConfig(grid_resolution=40, n_iter=9, seed=1)
+        want, got = run(toy, config), run(scaled, config)
+        assert len(got.history) == len(want.history) == 9
+        for a, b in zip(got.history, want.history):
+            assert np.array_equal(a.point, b.point)
+            assert (a.replicate, a.fallback) == (b.replicate, b.fallback)
 
 
 class TestMetrics:

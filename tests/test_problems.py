@@ -1,5 +1,6 @@
 """Tests for problem definitions, sampling, designs, and the cost model."""
 
+import itertools
 import json
 import math
 
@@ -12,6 +13,7 @@ from moeeqi.problems import (
     Normal,
     ProblemSchemaError,
     Uniform,
+    candidate_axes,
     candidate_grid,
     ground_truth,
     initial_design,
@@ -336,6 +338,27 @@ class TestCandidateGrid:
     def test_reversed_axis_is_rejected(self):
         with pytest.raises(ValueError, match="lo <= hi"):
             candidate_grid([[0.0, 1.0], [1.0, 0.5]], 5)
+
+    @pytest.mark.parametrize("bounds", [
+        [[0.0, 1.0], [0.0, 1.0]],
+        [[0.25, 0.25], [-1.0, 2.0]],
+        [[0.0, 1.0], [0.25, 0.25]],
+        [[-2.0, 3.0], [0.5, 0.5], [0.0, 1.0]],
+        [[0.0, 1.0], [0.0, 2.0], [3.0, 3.0]],
+        [[0.0, 1.5]],
+    ])
+    def test_grid_is_the_product_of_the_axes(self, bounds):
+        axes = candidate_axes(bounds, 6)
+        assert [a.size for a in axes] == [1 if lo == hi else 6 for lo, hi in bounds]
+        product = np.array(list(itertools.product(*(a.tolist() for a in axes))))
+        grid = candidate_grid(bounds, 6)
+        assert grid.dtype == product.dtype and np.array_equal(grid, product)
+
+    def test_axes_share_the_grid_checks(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            candidate_axes([[0.0, 1.0]], 1)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            candidate_axes([[0.0, 1.0], [1.0, 0.5]], 5)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,59 @@ def test_blocked_posterior_matches_the_cho_solve_reference(seed, dim, size):
         assert abs(v - var[i]) <= 1e-12 * params.process_variance
 
 
+def _lattice_emulator(rng, sizes):
+    """An emulator on a random non-unit control box, with the data of
+    ``_random_gp_data`` moved into the box, and a lattice in the box whose
+    axis k has ``sizes[k]`` values (one value: a pinned axis)."""
+    dim = len(sizes)
+    lo = rng.uniform(-3.0, 1.0, dim)
+    bounds = np.column_stack([lo, lo + rng.uniform(0.5, 4.0, dim)])
+    size = int(rng.integers(2, 31))
+    X, y, params, noise, _ = _random_gp_data(rng, dim, size)
+    X = bounds[:, 0] + (X + 1.0) / 3.0 * (bounds[:, 1] - bounds[:, 0])
+    ds = GpDataset([NoisyObservation(X[j], y[j], noise[j]) for j in range(size)])
+    axes = [np.sort(rng.uniform(lo_k, hi_k, r)) for (lo_k, hi_k), r in zip(bounds, sizes)]
+    lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return GpEmulator(ds, params, control_bounds=bounds), axes, lattice, np.abs(y).max()
+
+
+def _assert_lattice_matches_points(em, axes, lattice, y_scale):
+    # the mean relative to itself, or to the response scale where it nears 0
+    mean, var = em.posterior(lattice, axes=axes)
+    want_mean, want_var = em.posterior(lattice)
+    assert np.all(np.abs(mean - want_mean) <= 1e-12 * np.maximum(np.abs(want_mean), y_scale))
+    assert np.all(np.abs(var - want_var) <= 1e-12 * em.params.process_variance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=3),
+       st.integers(-1, 2))
+def test_lattice_posterior_matches_the_point_path(seed, sizes, pinned):
+    # pinned, when it names an axis, makes that axis a single value
+    if 0 <= pinned < len(sizes):
+        sizes[pinned] = 1
+    _assert_lattice_matches_points(*_lattice_emulator(np.random.default_rng(seed), sizes))
+
+
+@pytest.mark.parametrize("sizes", [
+    (90, 70),  # a 70-row tail: slabs of 58 leading values, the last of 32
+    (3, 50, 40),  # a 2,000-row tail: slabs of 2 leading values, the last of 1
+    (2 * _ROW_BLOCK + 17,),  # one axis: blocks of _ROW_BLOCK rows, the last short
+])
+def test_lattice_posterior_with_a_ragged_last_slab(sizes):
+    assert math.prod(sizes) > _ROW_BLOCK
+    _assert_lattice_matches_points(*_lattice_emulator(np.random.default_rng(len(sizes)), sizes))
+
+
+def test_lattice_axes_must_make_the_points():
+    em, axes, lattice, _ = _lattice_emulator(np.random.default_rng(0), (4, 3))
+    for bad_axes, points in [(axes[:1], lattice), (axes[::-1] + axes[:1], lattice),
+                             (axes, lattice[:-1]), (axes, lattice[0]),
+                             ([axes[0][:, None], axes[1]], lattice)]:
+        with pytest.raises(ValueError, match="axes of sizes"):
+            em.posterior(points, axes=bad_axes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from(list(ImprovementMode)))
 def test_blocked_improvement_terms_equal_the_two_edge_reference(seed, size, mode):

@@ -13,7 +13,9 @@
 # schedule and once with a constraint; a constrained run with the literal
 # (variance) constraint formula; run with fixed_coords, once pinning x1 at
 # its box edge and once pinning it at 0.9 on the constrained toy, where the
-# constraint filter drops members of the design front; run on a toy whose
+# constraint filter drops members of the design front; run with x0 pinned
+# at 0.8, so that the lattice posterior's leading axis is the pinned one;
+# run on a toy whose
 # q1 bound 0.7 cuts through the middle of the front, so that the filter
 # drops about a third of the candidates at every selection and design rows
 # at every design front; run with the moeei
@@ -85,6 +87,10 @@ cat >"$work/pinned.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
  "seed": 3, "fixed_coords": {"1": 0.9}}
 JSON
+cat >"$work/pinned_x0.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
+ "seed": 2, "fixed_coords": {"0": 0.8}}
+JSON
 cat >"$work/moeei.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 6, "grid_resolution": 40, "initial_design_size": 5,
  "seed": 2, "comparator": "moeei", "refit_hyperparameters": false}
@@ -114,6 +120,7 @@ cli run --problem "$work/toy_constrained.json" --config "$work/literal.json" \
 cli run --problem "$work/toy.json" --config "$work/fixed.json" --out "$out/run_fixed"
 cli run --problem "$work/toy_constrained.json" --config "$work/pinned.json" \
     --out "$out/run_pinned_constrained"
+cli run --problem "$work/toy.json" --config "$work/pinned_x0.json" --out "$out/run_pinned_x0"
 cli run --problem "$work/toy_midcut.json" --config "$work/plain.json" --seed 5 \
     --out "$out/run_midcut_constrained"
 cli run --problem "$work/toy.json" --config "$work/moeei.json" --out "$out/run_moeei"
