@@ -41,14 +41,17 @@ class QuantilePosterior:
     sd: float
 
     def __post_init__(self):
-        if self.sd < 0.0:
-            raise ValueError("quantile posterior sd must be non-negative")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"quantile posterior mean must be finite, got {self.mean}")
+        if not 0.0 <= self.sd < math.inf:
+            raise ValueError(f"quantile posterior sd must be finite and non-negative, got {self.sd}")
 
 
 def quantile_posterior_arrays(mean, var, sigma2_new, beta: float):
     """Elementwise ``quantile_posterior`` over arrays of posterior means and
-    variances (and of ``sigma2_new``), without input validation; returns (means, sds)."""
-    mean = np.asarray(mean, float)
+    variances (and of ``sigma2_new``), without input validation; returns (means, sds).
+    ``var`` and ``sigma2_new`` must be >= 0, as the posterior's clamp and
+    ``future_noise`` give them; where both are 0, the shift and the sd are 0."""
     var = np.asarray(var, float)
     total = var + sigma2_new
     safe = np.where(total > 0.0, total, 1.0)
@@ -56,9 +59,7 @@ def quantile_posterior_arrays(mean, var, sigma2_new, beta: float):
     # product of two variances overflows or underflows at objective scales
     # whose quantiles are representable.
     shift = float(std_normal_quantile(beta)) * np.sqrt(var) * np.sqrt(sigma2_new / safe)
-    sd = var / np.sqrt(safe)
-    zero = total <= 0.0
-    return np.where(zero, mean, mean + shift), np.where(zero, 0.0, sd)
+    return mean + shift, var / np.sqrt(safe)
 
 
 def quantile_posterior(m: float, s2: float, sigma2_new: float, beta: float) -> QuantilePosterior:
@@ -75,8 +76,9 @@ def quantile_posterior(m: float, s2: float, sigma2_new: float, beta: float) -> Q
     """
     if not 0.5 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0.5, 1), got {beta}")
-    if s2 < 0.0 or sigma2_new < 0.0:
-        raise ValueError("variances must be non-negative")
+    for name, value in (("s2", s2), ("sigma2_new", sigma2_new)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be a finite non-negative variance, got {value}")
     mean, sd = quantile_posterior_arrays(m, s2, sigma2_new, beta)
     return QuantilePosterior(float(mean), float(sd))
 

@@ -47,9 +47,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
 # Rows of candidates evaluated together by the posterior of a point stack
-# (a block of pairwise distances, or a slab of a lattice's per-axis factor
-# products) and by the score bound, which see the whole grid: an (n, S)
-# kernel block and the bound's per-split arrays stay cache-sized.
+# and by the score bound, which see the whole grid: an (n, S) kernel block
+# and the bound's per-split arrays stay cache-sized. A lattice slab (see
+# GpEmulator._lattice_blocks) is longer only when its tail alone is.
 _ROW_BLOCK = 4096
 
 _COLD_STARTS = 5  # L-BFGS-B searches of a fit without a warm start
@@ -124,10 +124,10 @@ class KernelParams:
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
         object.__setattr__(self, "lengthscales", ls)
-        if not self.process_variance > 0.0:
-            raise ValueError("process_variance must be positive")
-        if not np.all(ls > 0.0):
-            raise ValueError("all lengthscales must be positive")
+        if not 0.0 < self.process_variance < math.inf:
+            raise ValueError(f"process_variance must be positive and finite, got {self.process_variance}")
+        if not np.all((ls > 0.0) & (ls < math.inf)):
+            raise ValueError(f"all lengthscales must be positive and finite, got {ls}")
 
 
 @dataclass
@@ -458,13 +458,14 @@ class GpEmulator:
         estimating the constant trend. Accepts a single point (shape (v,))
         or a stack of points (shape (n, v)); returns floats or arrays
         accordingly. Round-off is clamped so variances are never negative.
-        A stack is evaluated at most ``_ROW_BLOCK`` rows at a time: one
-        kernel block and one product with the cached projection each.
+        A stack is evaluated a block of rows at a time: one kernel block and
+        one product with the cached projection each.
 
         ``axes``, when given, are the per-coordinate values whose
         lexicographic product (first coordinate slowest) is the stack ``x``,
         as ``problems.candidate_axes`` gives them; only the shapes are
-        checked, and the kernel blocks come from ``_lattice_blocks``.
+        checked. The blocks are then ``_lattice_blocks`` slabs of first-axis
+        values, else ``_ROW_BLOCK`` points each.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -500,11 +501,11 @@ class GpEmulator:
         The kernel is a product over coordinates, so with the per-axis
         tables E_k[i, s] = exp(-(g_ik - x_sk)^2 / 2 l_k^2) every row of the
         block is a product of one row of each table: v r S exponentials
-        instead of r^v S. The trailing axes whose product fits in
-        ``_ROW_BLOCK`` rows (at least one axis is left leading) make one tail
-        table, with the process variance folded in; each block is a slab of
-        consecutive leading-axis rows times the tail, at most ``_ROW_BLOCK``
-        rows, built only when the loop reaches it.
+        instead of r^v S. The axes after the first make one tail table, with
+        the process variance folded in; each block is a slab of
+        ``max(1, _ROW_BLOCK // len(tail))`` consecutive first-axis rows times
+        the tail, built only when the loop reaches it. A slab is longer than
+        ``_ROW_BLOCK`` rows only when the tail alone is.
         """
         axes = [np.asarray(a, dtype=float) for a in axes]
         sizes = [a.size for a in axes]
@@ -517,19 +518,12 @@ class GpEmulator:
             d /= self.params.lengthscales[k]
             tables.append(np.exp(-0.5 * d * d))  # (r_k, S)
         tail = np.full((1, S), self.params.process_variance)
-        lead = len(tables)
-        while lead > 1 and len(tail) * sizes[lead - 1] <= _ROW_BLOCK:
-            lead -= 1
-            tail = (tables[lead][:, None, :] * tail).reshape(-1, S)
-        per = _ROW_BLOCK // len(tail)
-        count = math.prod(sizes[:lead])
-        for lo in range(0, count, per):
-            idx = np.unravel_index(np.arange(lo, min(lo + per, count)), sizes[:lead])
-            head = tables[0][idx[0]]
-            for table, i in zip(tables[1:lead], idx[1:]):
-                head = head * table[i]
+        for table in reversed(tables[1:]):
+            tail = (table[:, None, :] * tail).reshape(-1, S)
+        per = max(1, _ROW_BLOCK // len(tail))
+        for lo in range(0, sizes[0], per):
             yield (slice(lo * len(tail), (lo + per) * len(tail)),
-                   (head[:, None, :] * tail).reshape(-1, S))
+                   (tables[0][lo:lo + per, None, :] * tail).reshape(-1, S))
 
     def quantile(self, x, beta: float):
         """beta-quantile of the posterior: m(x) + PHI^{-1}(beta) s(x)."""

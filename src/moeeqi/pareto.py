@@ -110,7 +110,7 @@ class ConstraintSpec:
 
 def feasible_mask(
     q: np.ndarray,
-    noise_sd: np.ndarray | None,
+    noise_sd: np.ndarray,
     constraints: ConstraintSpec | None,
     beta: float = 0.5,
     literal_formula: bool = False,
@@ -120,19 +120,17 @@ def feasible_mask(
     A candidate is discarded when its value for objective i reaches
     b_i + PHI^{-1}(beta) * adj_i, where adj_i is the candidate's quantile
     noise sd by default (dimensionally consistent) or, with
-    ``literal_formula``, the variance.
+    ``literal_formula``, the variance. ``noise_sd``, an array of ``q``'s
+    shape, is read only under an active constraint.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     keep = np.ones(q.shape[0], dtype=bool)
     if constraints is None or not constraints.active:
         return keep
     z = float(std_normal_quantile(beta))
-    if noise_sd is None:
-        sd = np.zeros_like(q)
-    else:
-        sd = np.atleast_2d(np.asarray(noise_sd, dtype=float))
-        if sd.shape != q.shape:
-            raise ValueError(f"noise_sd shape {sd.shape} does not match values {q.shape}")
+    sd = np.atleast_2d(np.asarray(noise_sd, dtype=float))
+    if sd.shape != q.shape:
+        raise ValueError(f"noise_sd shape {sd.shape} does not match values {q.shape}")
     for i, bound in enumerate(constraints.upper_bounds):
         if bound is None:
             continue

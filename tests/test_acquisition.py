@@ -50,6 +50,21 @@ class TestQuantilePosterior:
         with pytest.raises(ValueError):
             quantile_posterior(0.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: quantile_posterior(0.0, math.nan, 0.1, 0.7), "s2"),
+        (lambda: quantile_posterior(0.0, -1.0, 0.1, 0.7), "s2"),
+        (lambda: quantile_posterior(0.0, 1.0, math.inf, 0.7), "sigma2_new"),
+        (lambda: quantile_posterior(0.0, 1.0, -0.1, 0.7), "sigma2_new"),
+        (lambda: quantile_posterior(math.nan, 1.0, 0.1, 0.7), "mean"),
+        (lambda: QuantilePosterior(math.nan, math.nan), "mean"),
+        (lambda: QuantilePosterior(-math.inf, 1.0), "mean"),
+        (lambda: QuantilePosterior(0.0, math.inf), "sd"),
+        (lambda: QuantilePosterior(0.0, -1.0), "sd"),
+    ])
+    def test_invalid_values_raise_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_sd_identity_and_mean_dominance(self):
         # s_Q^2 (s^2 + sigma^2) = s^4 and m_Q >= m for beta >= 0.5
         rng = np.random.default_rng(0)
@@ -198,6 +213,11 @@ class TestReplicationVariance:
         with pytest.raises(ReplicationVarianceError):
             replication_variance(1.0, 1.0)
 
+    @pytest.mark.parametrize("var_n, var_2n", [(0.0, 0.5), (1.0, 0.0), (-1.0, -2.0)])
+    def test_non_positive_variances_rejected(self, var_n, var_2n):
+        with pytest.raises(ValueError, match="positive"):
+            replication_variance(var_n, var_2n)
+
 
 # ---------------------------------------------------------------------------
 # Pooling repeated batches
@@ -257,3 +277,11 @@ class TestMergeReplicate:
         old = NoisyObservation([0.25, 0.75], 1.0, 0.5)
         merged = merge_replicate(old, 1.5, 0.5, n=5)
         assert np.array_equal(merged.location, old.location)
+
+    @pytest.mark.parametrize("new_var, n, message", [
+        (0.5, 1, "batch size"),
+        (-0.5, 5, "batch variance"),
+    ])
+    def test_invalid_batch_rejected(self, new_var, n, message):
+        with pytest.raises(ValueError, match=message):
+            merge_replicate(NoisyObservation([0.0], 1.0, 0.5), 1.5, new_var, n)

@@ -200,6 +200,9 @@ class TestCmdRun:
                   {"type": "uniform", "lo": -1.0, "hi": 1.0}]}, "'env[0].mu'"),
         ({"env": [{"type": "uniform", "lo": -1.0, "hi": 1.0},
                   {"type": "uniform", "lo": -1.0, "hi": math.inf}]}, "'env[1].hi'"),
+        ({"problem": "sphere"}, "'problem'"),
+        ({"constraints": 5}, "'constraints'"),
+        ({"constraints": {"upper_bounds": [1.1]}}, "'constraints.upper_bounds'"),
     ])
     def test_invalid_problem_field_exits_2_naming_it(self, tmp_path, capsys, extra, field):
         rc = main([
@@ -208,6 +211,20 @@ class TestCmdRun:
         ])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    def test_runtime_failure_exits_1_with_its_message(self, tmp_path, capsys, monkeypatch):
+        from moeeqi import cli
+
+        def run(problem, config):
+            raise GpFitError("no positive-definite covariance found at any restart")
+
+        monkeypatch.setattr(cli, "run", run)
+        rc = main([
+            "run", "--problem", _problem_file(tmp_path),
+            "--config", _config_file(tmp_path), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no positive-definite covariance found at any restart\n"
 
     def test_inline_problem_json_longer_than_a_file_name(self, tmp_path):
         doc = {"problem": "toy", "a": 0.0, "env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}] * 8}
@@ -362,6 +379,23 @@ class TestCmdStudy:
         meta = json.loads((out / "study_meta.json").read_text())
         assert meta["failures"] == [{"comparator": "moeeqi", "beta": 0.7, "replicate": 1,
                                      "type": "GpFitError", "error": "no fit"}]
+
+    def test_every_replicate_failing_exits_1(self, tmp_path, capsys, monkeypatch):
+        from moeeqi import cli
+
+        def run(problem, config):
+            raise GpFitError("no fit")
+
+        monkeypatch.setattr(cli, "run", run)
+        out = tmp_path / "study"
+        rc = main([
+            "study", "--problem", _problem_file(tmp_path),
+            "--config", _config_file(tmp_path, n_iter=1, truth_resolution=100),
+            "--replicates", "2", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "4/4 failed replicates" in capsys.readouterr().err
+        assert len(json.loads((out / "study_meta.json").read_text())["failures"]) == 4
 
     def test_zero_replicates_rejected(self, tmp_path, capsys):
         rc = main([

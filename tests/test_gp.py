@@ -126,6 +126,18 @@ def test_kernel_params_validation():
         KernelParams(1.0, [1.0, -1.0])
 
 
+@pytest.mark.parametrize("process_variance, lengthscales, field", [
+    (math.inf, [1.0], "process_variance"),
+    (math.nan, [1.0], "process_variance"),
+    (1.0, [math.inf], "lengthscales"),
+    (1.0, [1.0, math.nan], "lengthscales"),
+])
+def test_kernel_params_reject_non_finite_values_naming_the_field(process_variance, lengthscales,
+                                                                   field):
+    with pytest.raises(ValueError, match=field):
+        KernelParams(process_variance, lengthscales)
+
+
 # ---------------------------------------------------------------------------
 # Dataset container
 # ---------------------------------------------------------------------------
@@ -162,6 +174,26 @@ def test_observation_rejects_non_finite_fields(field, args):
 def test_observation_rejects_a_count_that_is_not_a_whole_number(replications):
     with pytest.raises(ValueError, match="replications"):
         NoisyObservation([0.1], 1.0, 0.1, replications=replications)
+
+
+_ONE_POINT = GpDataset([NoisyObservation([0.1, 0.2], 1.0, 0.1)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NoisyObservation([[0.1, 0.2]], 1.0, 0.1), "one-dimensional"),
+    (lambda: NoisyObservation([0.1], 1.0, -0.1), "variance must be non-negative"),
+    (lambda: GpDataset([NoisyObservation([0.1], 1.0, 0.1), NoisyObservation([0.1, 0.2], 1.0, 0.1)]),
+     "inconsistent control dimensions"),
+    (lambda: GpDataset().dim, "empty dataset"),
+    (lambda: log_marginal_likelihood(GpDataset(), KernelParams(1.0, [1.0])), "dataset is empty"),
+    (lambda: GpEmulator(_ONE_POINT, KernelParams(1.0, [1.0, 1.0]), control_bounds=[[0.0, 1.0]]),
+     "control_bounds dimension"),
+    (lambda: GpEmulator(_ONE_POINT, KernelParams(1.0, [1.0, 1.0]),
+                        control_bounds=[[0.0, 1.0], [0.5, 0.5]]), "positive width"),
+])
+def test_data_and_box_checks_raise_naming_what_failed(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_observation_reads_a_whole_float_count_as_an_int():

@@ -434,6 +434,11 @@ class TestMetrics:
         assert metrics.moeeqi_trace == [rec.score for rec in state.history]
         assert all(v >= 0 for v in metrics.moeeqi_trace)
 
+    def test_empty_truth_front_rejected(self):
+        front = ParetoFront([FrontPoint(0.0, 1.0)])
+        with pytest.raises(ValueError, match="truth front is empty"):
+            front_metrics(front, ParetoFront([]))
+
     def test_empty_front_yields_nan(self):
         truth = true_pareto_front(20)
         mean_dist, penalized, size = front_metrics(ParetoFront([]), truth)

@@ -109,6 +109,21 @@ class TestBuildFront:
         assert feasible_mask(q, None, None).all()
         assert feasible_mask(q, None, ConstraintSpec((None, None))).all()
 
+    @pytest.mark.parametrize("noise_sd", [None, np.zeros((2, 1)), np.zeros((3, 2))])
+    def test_feasible_mask_under_a_constraint_needs_one_sd_per_value(self, noise_sd):
+        q = np.array([[1.0, 2.0], [5.0, 5.0]])
+        with pytest.raises(ValueError, match="noise_sd"):
+            feasible_mask(q, noise_sd, ConstraintSpec((1.0, None)))
+
+    @pytest.mark.parametrize("q, sources", [
+        (np.zeros((3, 3)), None),
+        (np.zeros(4), None),
+        (np.zeros((3, 2)), np.zeros((2, 1))),
+    ])
+    def test_build_front_rejects_values_that_are_not_pairs_with_sources(self, q, sources):
+        with pytest.raises(ValueError, match="build_front needs"):
+            build_front(q, sources)
+
 
 # ---------------------------------------------------------------------------
 # Nearest front point

@@ -9,9 +9,11 @@ import pytest
 
 from moeeqi.pareto import ConstraintSpec
 from moeeqi.problems import (
+    TOY_ENV,
     CostParams,
     Normal,
     ProblemSchemaError,
+    ProblemSpec,
     Uniform,
     candidate_axes,
     candidate_grid,
@@ -60,6 +62,10 @@ class TestSampleEnvironment:
         assert draws.shape == (1000, 2)
         assert draws[:, 0].max() <= 0.0
         assert draws[:, 1].mean() > 5.0
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="at least one environmental draw"):
+            sample_environment([Uniform(0.0, 1.0)], 0, np.random.default_rng(0))
 
     def test_invalid_distributions(self):
         with pytest.raises(ValueError):
@@ -267,6 +273,11 @@ class TestInterventionCost:
         # longer shelf life can only reduce cost
         assert intervention_cost(_cost(shelf_life_years=10.0)) <= c0
 
+    @pytest.mark.parametrize("empty", [dict(population=0.0), dict(doses_per_person=0.0)])
+    def test_no_doses_leaves_the_center_setup(self, empty):
+        # nu P = 0: the per-dose form would divide by zero
+        assert intervention_cost(_cost(**empty)) == 5e4 * 4.0 * 10.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _cost(shelf_life_years=0.0)
@@ -416,6 +427,11 @@ class TestLoadProblem:
     def test_invalid_json_text(self):
         with pytest.raises(ProblemSchemaError, match="JSON"):
             load_problem("{not json")
+
+    @pytest.mark.parametrize("bounds", [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.0, math.inf]]])
+    def test_problem_spec_rejects_an_empty_or_unbounded_box(self, bounds):
+        with pytest.raises(ValueError, match="control bounds"):
+            ProblemSpec(lambda xc, xe: np.zeros((len(xe), 2)), TOY_ENV, bounds)
 
     def test_oracle_front_requires_truth(self):
         problem = toy_problem(0.0)

@@ -1,11 +1,13 @@
 """Property tests: invariants of front construction, front metrics, the
 improvement criterion, the GP likelihood and posterior variance, replicate
 pooling, config parsing, document reading, the initial design and the pruned
-selection, checked on generated inputs against independent references; and
-exact equality of the GP's direct LAPACK calls with scipy's wrapper forms."""
+selection, checked on generated inputs against independent references;
+exact equality of the GP's direct LAPACK calls with scipy's wrapper forms;
+and whole runs on small generated problems, scaled and degenerate."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
 from moeeqi.gp import (_JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError, KernelParams,
                        NoisyObservation, _factor_gram, _kernel_matrix, _profiled_loglik, _sq_diffs,
-                       log_marginal_likelihood)
-from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics
+                       fit_hyperparameters, log_marginal_likelihood)
+from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics, run
 from moeeqi.pareto import (ConstraintSpec, FrontPoint, ImprovementMode, ParetoFront,
                            _improvement_terms, _score_bounds, build_front, moeeqi, moeeqi_scores)
 from moeeqi.problems import ProblemSchemaError, ProblemSpec, Uniform, initial_design, read_document
@@ -283,6 +285,8 @@ def test_lattice_posterior_matches_the_point_path(seed, sizes, pinned):
     (90, 70),  # a 70-row tail: slabs of 58 leading values, the last of 32
     (3, 50, 40),  # a 2,000-row tail: slabs of 2 leading values, the last of 1
     (2 * _ROW_BLOCK + 17,),  # one axis: blocks of _ROW_BLOCK rows, the last short
+    (2, 4100),  # a tail longer than _ROW_BLOCK: slabs of one leading value
+    (3, 70, 70),  # a 4,900-row tail of two axes: slabs of one leading value
 ])
 def test_lattice_posterior_with_a_ragged_last_slab(sizes):
     assert math.prod(sizes) > _ROW_BLOCK
@@ -562,3 +566,122 @@ def test_read_document_reads_one_object_from_a_dict_text_or_file(tmp_path_factor
             read_document(source, what)
     with pytest.raises(FileNotFoundError):
         read_document(str(folder / "missing.json"), what)
+
+
+# ---------------------------------------------------------------------------
+# Whole runs on small generated problems
+# ---------------------------------------------------------------------------
+
+_RESPONSES = ("noisy", "noise-free", "constant", "lumpy")
+_kinds = st.tuples(st.sampled_from(_RESPONSES), st.sampled_from(_RESPONSES))
+
+
+def _generated_run(seed, kinds, k=0):
+    """A ProblemSpec and RunConfig drawn from ``seed``: 1-3 control axes on
+    a random box, one of them pinned half the time when another stays free,
+    an upper bound on one objective half the time, 2-15 grid values per axis
+    and 0-4 iterations. Objective i is a smooth function of the control
+    point plus, by ``kinds[i]``: a continuous environmental term ("noisy"),
+    nothing ("noise-free"), a 0/1 term that often takes one value over a
+    whole batch ("lumpy", so one location gets batches with and without
+    variance); or it is one value everywhere ("constant"). Both objectives
+    and the bound are multiplied by 2**k, which is exact."""
+    rng = np.random.default_rng(seed)
+    v = int(rng.integers(1, 4))
+    lo = rng.uniform(-2.0, 2.0, v)
+    bounds = np.column_stack([lo, lo + rng.uniform(0.5, 3.0, v)])
+    coef = rng.normal(size=(2, v + 1))
+
+    def evaluator(xc, xe):
+        u = (xc - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
+        out = np.empty((len(xe), 2))
+        for i, kind in enumerate(kinds):
+            f = coef[i, 0] + np.sum(coef[i, 1:] * np.sin(3.0 * u)) + (2 * i - 1) * u.sum()
+            out[:, i] = {"noisy": f + 0.3 * xe[:, i], "noise-free": f, "constant": coef[i, 0],
+                         "lumpy": f + (xe[:, i] > 0.6)}[kind]
+        return np.ldexp(out, k)
+
+    fixed = None
+    if v > 1 and rng.random() < 0.5:
+        axis = int(rng.integers(v))
+        fixed = {axis: float(rng.uniform(*bounds[axis]))}
+    constraints = None
+    if rng.random() < 0.5:
+        upper = [None, None]
+        upper[int(rng.integers(2))] = float(np.ldexp(rng.normal(), k))
+        constraints = ConstraintSpec(tuple(upper))
+    problem = ProblemSpec(evaluator, (Uniform(-1.0, 1.0), Uniform(-1.0, 1.0)), bounds, constraints)
+    n_iter = int(rng.integers(0, 5))
+    aggressive = int(rng.integers(0, n_iter + 1))
+    config = RunConfig(
+        beta=float(rng.choice([0.5, 0.7, 0.9])), n_mc=int(rng.integers(2, 5)), n_iter=n_iter,
+        grid_resolution=int(rng.integers(2, 16)), initial_design_size=int(rng.integers(2, 6)),
+        seed=int(rng.integers(2**31)), comparator=str(rng.choice(["moeeqi", "moeei"])),
+        mode_schedule=(("aggressive", aggressive), ("non_aggressive", n_iter - aggressive)),
+        refit_hyperparameters=bool(rng.random() < 0.8), fixed_coords=fixed)
+    return problem, config
+
+
+def _choices(state):
+    return [(r.point.tobytes(), r.replicate, r.fallback) for r in state.history]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), _kinds, st.sampled_from([-400, 400]) | st.integers(-400, 400))
+def test_scaling_both_objectives_by_a_power_of_two_keeps_the_choices(seed, kinds, k):
+    # The hyperparameter search alone is not scale-free: L-BFGS-B's path
+    # depends on the size of -log L, which scaling shifts. So the scaled run
+    # is handed the unscaled run's estimates, the process variance times
+    # 4**k, after a check that it fits the unscaled data times 2**k (means)
+    # and 4**k (variances), bit for bit.
+    fits = []
+
+    def record(dataset, rng=None, warm_start=None):
+        params = fit_hyperparameters(dataset, rng, warm_start)
+        fits.append((dataset.means(), dataset.variances(), params))
+        return params
+
+    def replay(dataset, rng=None, warm_start=None):
+        means, variances, params = fits.pop(0)
+        assert np.array_equal(dataset.means(), np.ldexp(means, k))
+        assert np.array_equal(dataset.variances(), np.ldexp(variances, 2 * k))
+        return KernelParams(np.ldexp(params.process_variance, 2 * k), params.lengthscales)
+
+    states = []
+    for scale, fit in ((0, record), (k, replay)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("moeeqi.gp.fit_hyperparameters", fit)
+            states.append(run(*_generated_run(seed, kinds, scale)))
+    assert not fits
+    assert _choices(states[1]) == _choices(states[0])
+
+
+def _run_record(state):
+    """Everything a run leaves, as comparable values."""
+    fronts = [state.initial_front, state.front] + [r.front for r in state.history]
+    return ([(ds.locations().tobytes(), ds.means().tobytes(), ds.variances().tobytes(),
+              [o.replications for o in ds]) for ds in state.datasets],
+            [(r.iteration, r.score, r.mode) for r in state.history] + _choices(state),
+            [(f.q1s().tobytes(), f.q2s().tobytes()) for f in fronts])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), _kinds.filter(lambda kinds: kinds != ("noisy", "noisy")))
+@example(43, ("lumpy", "noise-free"))  # reaches both zero-variance branches of merge_replicate
+def test_degenerate_responses_run_or_fail_naming_the_cause(seed, kinds):
+    outcomes = []
+    for _ in range(2):  # the same seed twice
+        try:
+            outcomes.append(run(*_generated_run(seed, kinds)))
+        except (ValueError, GpFitError) as exc:
+            assert re.search("objective|covariance|response|evaluator", str(exc)), exc
+            outcomes.append(exc)
+    first, again = outcomes
+    if isinstance(first, Exception):
+        assert (type(again), str(again)) == (type(first), str(first))
+        return
+    assert _run_record(again) == _run_record(first)
+    for front in [first.initial_front, first.front] + [r.front for r in first.history]:
+        assert np.all(np.diff(front.q1s()) > 0) and np.all(np.diff(front.q2s()) < 0)
+    batches = first.config.initial_design_size + len(first.history)
+    assert [sum(o.replications for o in ds) for ds in first.datasets] == [batches, batches]
