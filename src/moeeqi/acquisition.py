@@ -111,12 +111,13 @@ def future_noise(datasets: Sequence[GpDataset]) -> list[float]:
 
 
 def replication_variance(var_n: float, var_2n: float) -> float:
-    """Variance to assign a repeated design point so that pooling reproduces
-    the combined-sample estimate: var_n * var_2n / (var_n - var_2n).
+    """The paper's assigned-variance formula for a repeated design point, so
+    that pooling reproduces the combined-sample estimate: var_n * var_2n /
+    (var_n - var_2n). It is exported and checked by the acceptance tests; the
+    loop does not use it, but pools replicates with ``merge_replicate``.
 
     Raises ReplicationVarianceError when ``var_2n >= var_n``, i.e. when the
-    enlarged sample failed to tighten the estimate; callers then fall back to
-    precision-weighted pooling of the batch means.
+    enlarged sample failed to tighten the estimate.
     """
     if var_n <= 0.0 or var_2n <= 0.0:
         raise ValueError("variances must be positive")

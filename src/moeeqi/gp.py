@@ -105,6 +105,14 @@ def whole_number(value, name: str, minimum: int = None) -> int:
     return int(value)
 
 
+def real_number(value, name: str):
+    """``value`` unchanged when it is a real number that is not a boolean;
+    otherwise a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def as_point(x) -> np.ndarray:
     """Coerce a control point to an immutable 1-D float array."""
     pt = np.atleast_1d(np.asarray(x, dtype=float))

@@ -13,13 +13,13 @@ benchmarking, as are distance-to-truth metrics.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquisition import future_noise, merge_replicate, quantile_posterior_arrays
-from .gp import GpDataset, GpEmulator, NoisyObservation, std_normal_quantile, whole_number
+from .gp import (GpDataset, GpEmulator, NoisyObservation, real_number, std_normal_quantile,
+                 whole_number)
 from .pareto import (ImprovementMode, ParetoFront, _score_bounds, build_front, feasible_mask,
                      moeeqi_scores)
 from .problems import (
@@ -49,12 +49,6 @@ _PENALTY_FACTORS = (5.0, 10.0)  # distance multipliers for overestimating front 
 _SEED_CANDIDATES = 64  # exactly scored to set the pruning threshold of a selection
 
 
-def _real_number(value, name: str):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
 @dataclass
 class RunConfig:
     """Settings for one optimization run; see README for field meanings.
@@ -77,7 +71,7 @@ class RunConfig:
     fixed_coords: dict = None  # {coordinate index: frozen value}
 
     def __post_init__(self):
-        if not 0.5 <= _real_number(self.beta, "beta") < 1.0:
+        if not 0.5 <= real_number(self.beta, "beta") < 1.0:
             raise ValueError(f"beta must lie in [0.5, 1), got {self.beta}")
         for name, minimum in [("n_mc", 2), ("n_iter", 0), ("grid_resolution", 2),
                               ("initial_design_size", 2), ("seed", 0)]:
@@ -87,7 +81,7 @@ class RunConfig:
         for name in ("refit_hyperparameters", "literal_constraint_formula"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.min_score is not None and math.isnan(_real_number(self.min_score, "min_score")):
+        if self.min_score is not None and math.isnan(real_number(self.min_score, "min_score")):
             raise ValueError("min_score must be a number or null, got NaN")
         if self.mode_schedule is None:
             self.mode_schedule = ((ImprovementMode.AGGRESSIVE, self.n_iter),)
@@ -102,7 +96,7 @@ class RunConfig:
             raise ValueError("mode_schedule counts must sum to n_iter")
         if self.fixed_coords is not None:
             try:
-                self.fixed_coords = {whole_number(k, "coordinate"): _real_number(v, "value")
+                self.fixed_coords = {whole_number(k, "coordinate"): real_number(v, "value")
                                      for k, v in dict(self.fixed_coords).items()}
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"fixed_coords must map coordinates to values: {exc}") from exc

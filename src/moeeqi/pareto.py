@@ -191,29 +191,26 @@ def _score_bounds(front: ParetoFront, mu1, sd1, mu2, sd2, mode: ImprovementMode)
     over the improving region R. For any split k of the strips, every strip
     left of it lies left of edges[k] and every strip right of it below
     tops[k] (the tops do not rise), so P(R) <= P[Q1 <= edges[k]] +
-    P[Q2 <= tops[k]]. Each candidate takes the split whose larger
-    standardized edge is least. An sd of 0 gives the step indicator, 1 at
-    the boundary (the score's 0.5 there is the smaller). The bound holds
-    for the computed scores too: it adds ``_ROUNDING`` times the scale of
-    the coordinates involved, which covers their rounding (a candidate on a
-    front point with sd 0 has score 0, but a computed score near 1e-17).
+    P[Q2 <= tops[k]]. Each candidate takes the first split whose larger
+    standardized edge (unscaled where the sd is 0) is least. An sd of 0 gives
+    the step indicator, 1 at the boundary (the score's 0.5 there is the
+    smaller). The bound holds for the computed scores too: it adds
+    ``_ROUNDING`` times the scale of the coordinates involved, which covers
+    their rounding (on a front point with sd 0 the score is 0, computed ~1e-17).
     """
     edges, tops = _strips(front, mode)
-    reach = np.max(np.abs(edges[1:-1])) + np.max(np.abs(tops[1:]))
+    t, top, z = edges[1:-1, None], tops[1:, None], front.q2s()[:, None]
+    reach = np.max(np.abs(t)) + np.max(np.abs(top))
     out = np.empty(mu1.size)
     for lo in range(0, out.size, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         m1, s1, m2, s2 = mu1[rows], sd1[rows], mu2[rows], sd2[rows]
         pos1, pos2 = s1 > 0.0, s2 > 0.0
-        safe1, safe2 = np.where(pos1, s1, 1.0), np.where(pos2, s2, 1.0)
-        least = a = b = sq = np.inf
-        for t, top, z in zip(edges[1:-1], tops[1:], front.q2s()):
-            d1 = t - m1
-            ak, bk = d1 / safe1, (top - m2) / safe2
-            w = np.maximum(ak, bk)
-            better = w < least
-            least, a, b = np.where(better, w, least), np.where(better, ak, a), np.where(better, bk, b)
-            sq = np.minimum(sq, d1 * d1 + (z - m2) ** 2)
+        d1, b = t - m1, top - m2  # (m, block): one row per split
+        sq = np.min(d1 * d1 + (z - m2) ** 2, axis=0)
+        a, b = np.divide(d1, s1, out=d1, where=pos1), np.divide(b, s2, out=b, where=pos2)
+        k = np.argmin(np.maximum(a, b), axis=0)[None]
+        a, b = np.take_along_axis(a, k, axis=0)[0], np.take_along_axis(b, k, axis=0)[0]
         mass = np.where(pos1, std_normal_cdf(a), a >= 0.0) + np.where(pos2, std_normal_cdf(b), b >= 0.0)
         out[rows] = (np.sqrt((sq + s1 * s1 + s2 * s2) * np.minimum(mass, 1.0))
                      + _ROUNDING * (np.abs(m1) + np.abs(m2) + s1 + s2 + reach))
@@ -254,18 +251,17 @@ def _improvement_terms(front: ParetoFront, mu1, sd1, mu2, sd2, mode: Improvement
     mu1, sd1, mu2, sd2 = (np.asarray(a, dtype=float) for a in (mu1, sd1, mu2, sd2))
     edge1, edge2 = _normal_edge(mu1, sd1), _normal_edge(mu2, sd2)
     mass, num1, num2 = np.zeros_like(mu1), np.zeros_like(mu1), np.zeros_like(mu1)
-    with np.errstate(invalid="ignore"):
-        cdf_a, pdf_a = edge1(edges[0])
-        for b1, top in zip(edges[1:], tops):
-            cdf_b, pdf_b = edge1(b1)
-            mass1 = cdf_b - cdf_a
-            mom1 = mu1 * mass1 - (pdf_b - pdf_a)
-            mass2, pdf2 = edge2(top)
-            mom2 = mu2 * mass2 - pdf2
-            mass += mass1 * mass2
-            num1 += mom1 * mass2
-            num2 += mass1 * mom2
-            cdf_a, pdf_a = cdf_b, pdf_b
+    cdf_a, pdf_a = edge1(edges[0])
+    for b1, top in zip(edges[1:], tops):
+        cdf_b, pdf_b = edge1(b1)
+        mass1 = cdf_b - cdf_a
+        mom1 = mu1 * mass1 - (pdf_b - pdf_a)
+        mass2, pdf2 = edge2(top)
+        mom2 = mu2 * mass2 - pdf2
+        mass += mass1 * mass2
+        num1 += mom1 * mass2
+        num2 += mass1 * mom2
+        cdf_a, pdf_a = cdf_b, pdf_b
     return mass, num1, num2
 
 

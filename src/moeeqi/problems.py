@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .gp import real_number
 from .pareto import ConstraintSpec, ParetoFront, build_front
 
 __all__ = [
@@ -249,13 +250,10 @@ class CostParams:
     staff: float
 
     def __post_init__(self):
-        values = (
-            self.dose_cost, self.doses_per_person, self.wastage, self.population,
-            self.horizon_years, self.shelf_life_years, self.center_setup_cost,
-            self.staff_admin_cost, self.centers, self.staff,
-        )
-        if any(v < 0.0 for v in values):
-            raise ValueError("cost parameters must be non-negative")
+        for f in fields(self):
+            v = real_number(getattr(self, f.name), f.name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{f.name} must be finite and non-negative, got {v!r}")
         if not self.shelf_life_years > 0.0:
             raise ValueError("shelf life must be positive")
         if self.wastage < 1.0:
@@ -431,7 +429,7 @@ _DISTRIBUTIONS = {"uniform": (Uniform, "lo", "hi"), "normal": (Normal, "mu", "sd
 
 
 def _finite_float(value) -> float:
-    value = float(value)
+    value = float(real_number(value, "value"))
     if not math.isfinite(value):
         raise ValueError("expected a finite number")
     return value
@@ -447,7 +445,7 @@ def _parse_env(entries) -> tuple:
         dist, first, second = _DISTRIBUTIONS[kind]
         reject_unknown(entry, ("type", first, second), "problem", where)
         p = read_field(entry, first, _finite_float, where)
-        dists.append(read_field(entry, second, lambda q: dist(p, float(q)), where))
+        dists.append(read_field(entry, second, lambda q: dist(p, _finite_float(q)), where))
     # The toy evaluator reads the first two environmental columns.
     if len(dists) < 2:
         raise ValueError(f"expected at least two distributions, got {len(dists)}")
@@ -457,7 +455,7 @@ def _parse_env(entries) -> tuple:
 def _parse_upper_bounds(bounds) -> ConstraintSpec:
     if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
         raise ValueError("expected a list of two entries")
-    return ConstraintSpec(tuple(None if b is None else float(b) for b in bounds))
+    return ConstraintSpec(tuple(None if b is None else _finite_float(b) for b in bounds))
 
 
 def _parse_constraints(doc) -> ConstraintSpec:
@@ -468,7 +466,8 @@ def _parse_constraints(doc) -> ConstraintSpec:
 
 def _parse_control_bounds(bounds) -> np.ndarray:
     """The toy's control box, inside TOY_CONTROL_BOUNDS where the toy is defined."""
-    bounds = np.array(bounds, dtype=float)
+    cells = np.array(bounds, dtype=object)
+    bounds = np.array([_finite_float(b) for b in cells.ravel()]).reshape(cells.shape)
     lo, hi = TOY_CONTROL_BOUNDS.T
     if bounds.shape != (2, 2) or not np.all((lo <= bounds[:, 0]) & (bounds[:, 0] < bounds[:, 1])
                                             & (bounds[:, 1] <= hi)):
@@ -511,4 +510,4 @@ def load_problem(source) -> ProblemSpec:
     control_bounds = read_field(doc, "control_bounds", _parse_control_bounds, default=None)
     # The other parts are checked, so a ValueError here is about ``a``.
     return read_field(doc, "a", lambda a: toy_problem(
-        float(a), constraints=constraints, env=env, control_bounds=control_bounds))
+        _finite_float(a), constraints=constraints, env=env, control_bounds=control_bounds))

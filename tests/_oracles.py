@@ -7,12 +7,14 @@ fast paths: the fit reference searches the package's likelihood value
 without its gradient, the posterior reference solves against the Cholesky
 factor per call, the strip reference evaluates both edges of every strip
 through one-edge helpers, the batch-score reference takes the nearest front
-point from the dense distance array, the design reference recomputes the
-whole MaxPro criterion on every trial swap, and the selection reference
-scores every grid candidate exactly. The GP linear-algebra references are
-the same computations through scipy's validating wrappers (``cho_factor``,
-``cho_solve``, ``solve_triangular``) instead of the LAPACK routines behind
-them, so the package must match them bit for bit.
+point from the dense distance array, the bound reference finds each
+candidate's split in a running pass per front point, the design reference
+recomputes the whole MaxPro criterion on every trial swap, and the
+selection reference scores every grid candidate exactly. The GP
+linear-algebra references are the same computations through scipy's
+validating wrappers (``cho_factor``, ``cho_solve``, ``solve_triangular``)
+instead of the LAPACK routines behind them, so the package must match them
+bit for bit.
 """
 
 import math
@@ -27,7 +29,8 @@ from moeeqi.gp import (_COLD_STARTS, _JITTER_STEPS, _LOG_2PI, _WARM_STARTS, GpFi
                        KernelParams, _default_bounds, _factor_gram, _kernel_matrix,
                        _profiled_loglik, _sq_diffs, _unit_box, std_normal_cdf, std_normal_pdf)
 from moeeqi.optimizer import _criterion
-from moeeqi.pareto import FrontPoint, ImprovementMode, ParetoFront, feasible_mask, moeeqi_scores
+from moeeqi.pareto import (_ROUNDING, FrontPoint, ImprovementMode, ParetoFront, feasible_mask,
+                           moeeqi_scores)
 from moeeqi.problems import _DESIGN_MAX_SWEEPS, _DESIGN_RESTARTS, _latin_hypercube, _maxpro_terms
 
 
@@ -167,6 +170,28 @@ def moeeqi_scores_reference(front, mu1, sd1, mu2, sd2, mode):
     c1, c2 = num1 / safe, num2 / safe
     d2 = (c1[:, None] - front.q1s()[None, :]) ** 2 + (c2[:, None] - front.q2s()[None, :]) ** 2
     return np.where(pos, mass * np.sqrt(np.min(d2, axis=1)), 0.0)
+
+
+def score_bounds_reference(front, mu1, sd1, mu2, sd2, mode):
+    """Loop form of ``pareto._score_bounds`` over all candidates at once: one
+    pass per front point keeps a running least larger standardized edge (a
+    strict ``<``, so the first such split wins), its two edges, and the
+    nearest squared distance."""
+    pos1, pos2 = sd1 > 0.0, sd2 > 0.0
+    safe1, safe2 = np.where(pos1, sd1, 1.0), np.where(pos2, sd2, 1.0)
+    splits = [(a1, top) for a1, _, top in _strips(front, mode)[1:]]
+    reach = max(abs(t) for t, _ in splits) + max(abs(top) for _, top in splits)
+    least = a = b = sq = np.inf
+    for (t, top), z in zip(splits, front.q2s()):
+        d1 = t - mu1
+        ak, bk = d1 / safe1, (top - mu2) / safe2
+        w = np.maximum(ak, bk)
+        better = w < least
+        least, a, b = np.where(better, w, least), np.where(better, ak, a), np.where(better, bk, b)
+        sq = np.minimum(sq, d1 * d1 + (z - mu2) ** 2)
+    mass = np.where(pos1, std_normal_cdf(a), a >= 0.0) + np.where(pos2, std_normal_cdf(b), b >= 0.0)
+    return (np.sqrt((sq + sd1 * sd1 + sd2 * sd2) * np.minimum(mass, 1.0))
+            + _ROUNDING * (np.abs(mu1) + np.abs(mu2) + sd1 + sd2 + reach))
 
 
 def quadrature_improvement(front, qp1, qp2, mode, epsabs=1e-13, epsrel=1e-10):

@@ -203,6 +203,15 @@ class TestCmdRun:
         ({"problem": "sphere"}, "'problem'"),
         ({"constraints": 5}, "'constraints'"),
         ({"constraints": {"upper_bounds": [1.1]}}, "'constraints.upper_bounds'"),
+        # Numbers must be JSON numbers, as in the config.
+        ({"a": True}, "'a'"),
+        ({"a": "0.5"}, "'a'"),
+        ({"env": [{"type": "uniform", "lo": False, "hi": True},
+                  {"type": "normal", "mu": 0.0, "sd": 0.5}]}, "'env[0].lo'"),
+        ({"env": [{"type": "uniform", "lo": -1.0, "hi": 1.0},
+                  {"type": "normal", "mu": 0.0, "sd": True}]}, "'env[1].sd'"),
+        ({"constraints": {"upper_bounds": [True, None]}}, "'constraints.upper_bounds'"),
+        ({"control_bounds": [[False, True], [0, 1]]}, "'control_bounds'"),
     ])
     def test_invalid_problem_field_exits_2_naming_it(self, tmp_path, capsys, extra, field):
         rc = main([

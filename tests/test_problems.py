@@ -286,6 +286,14 @@ class TestInterventionCost:
         with pytest.raises(ValueError):
             _cost(population=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dose_cost", math.nan), ("wastage", math.nan), ("population", math.inf),
+        ("shelf_life_years", math.inf), ("staff", True), ("centers", "4"),
+    ])
+    def test_non_finite_or_non_numeric_parameter_is_an_error_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _cost(**{field: value})
+
 
 # ---------------------------------------------------------------------------
 # Designs and grids
@@ -415,6 +423,13 @@ class TestLoadProblem:
             toy_problem(0.0, control_bounds=[[0.0, 3.0], [0.0, 1.0]])
         problem = toy_problem(0.0, control_bounds=[[0.2, 1.4], [0.0, 0.8]])
         assert problem.control_bounds.tolist() == [[0.2, 1.4], [0.0, 0.8]]
+
+    @pytest.mark.parametrize("bounds", [
+        5, [[0.0, 1.0]], [[0.0, 1.0], [0.0]], [[0.0, True], [0.0, 1.0]], [["0", 1.0], [0.0, 1.0]],
+    ])
+    def test_control_bounds_must_be_two_pairs_of_numbers(self, bounds):
+        with pytest.raises(ValueError):
+            toy_problem(0.0, control_bounds=bounds)
 
     def test_inline_json_longer_than_a_file_name(self):
         doc = {"problem": "toy", "a": 0.25, "env": [{"type": "uniform", "lo": -1.0, "hi": 1.0}] * 8}

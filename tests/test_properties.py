@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from _oracles import (brute_force_front, emulator_projection_reference, factor_gram_reference,
                       front_metrics_reference, improvement_terms_reference,
                       initial_design_reference, moeeqi_scores_reference, posterior_reference, profiled_loglik_reference,
-                      random_front, select_reference)
+                      random_front, score_bounds_reference, select_reference)
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
 from moeeqi.gp import (_JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError, KernelParams,
@@ -407,6 +407,49 @@ def test_score_bounds_are_at_least_the_scores(seed, size, mode):
     bound = _score_bounds(front, mu1, sd1, mu2, sd2, mode)
     scores = moeeqi_scores(front, mu1, sd1, mu2, sd2, mode)
     assert np.all(bound >= scores)
+
+
+@st.composite
+def _bound_inputs(draw):
+    """A front of 1 to 30 points, on a lattice of eighths or not, a mode, and
+    more than ``_ROW_BLOCK`` candidates (mu1, sd1, mu2, sd2): random ones,
+    ones with sd 0 in one objective or both, ones exactly on an edge or a
+    top, and ones whose best two splits tie exactly in the larger
+    standardized edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size, mode = draw(st.integers(1, 30)), draw(st.sampled_from(list(ImprovementMode)))
+    if draw(st.booleans()):
+        q1 = np.sort(rng.choice(np.arange(-80, 80), size, replace=False)) / 8.0
+        q2 = np.sort(rng.choice(np.arange(-80, 80), size, replace=False))[::-1] / 8.0
+        front = ParetoFront([FrontPoint(float(a), float(b)) for a, b in zip(q1, q2)])
+    else:
+        front = random_front(rng, size, -10.0, 10.0)
+    t, z = front.q1s(), front.q2s()
+    tops = np.r_[z[1:], z[-1]] if mode is ImprovementMode.AGGRESSIVE else z
+    n = _ROW_BLOCK + draw(st.integers(1, 400))
+    mu1, mu2 = rng.uniform(-12.0, 12.0, n), rng.uniform(-12.0, 12.0, n)
+    sd1, sd2 = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+    sd1[:300], sd2[200:500] = 0.0, 0.0
+    mu1[::7], mu2[::5] = rng.choice(t, mu1[::7].size), rng.choice(tops, mu2[::5].size)
+    if size > 1:
+        # Splits j and j + 1 tie at w = (tops[j] - mu2) / s = (t[j + 1] - mu1) / s
+        # when mu1 - mu2 = t[j + 1] - tops[j], and their edges differ; on the
+        # lattice, with s a power of two or an sd of 0 (the raw edge), exactly.
+        rows = slice(n - 1000, n)
+        j = rng.integers(0, size - 1, 1000)
+        mu2[rows] = tops[j] + rng.integers(0, 17, 1000) / 8.0
+        mu1[rows] = mu2[rows] + t[j + 1] - tops[j]
+        pairs = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
+        sd1[rows], sd2[rows] = pairs[rng.integers(0, len(pairs), 1000)].T
+    return front, mode, (mu1, sd1, mu2, sd2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bound_inputs())
+def test_score_bounds_equal_the_loop_reference(inputs):
+    front, mode, cols = inputs
+    got = _score_bounds(front, *cols, mode)
+    assert np.array_equal(got, score_bounds_reference(front, *cols, mode))
 
 
 @st.composite
