@@ -46,10 +46,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # step in turn (up to 1e-4 relative) until the Cholesky succeeds.
 _JITTER_STEPS = (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0)
 
-# Rows of candidates evaluated together by the posterior of a point stack
-# and by the score bound, which see the whole grid: an (n, S) kernel block
-# and the bound's per-split arrays stay cache-sized. A lattice slab (see
-# GpEmulator._lattice_blocks) is longer only when its tail alone is.
+# Rows of candidates handled together wherever the whole grid is seen: a
+# posterior block of a point stack (one (n, S) kernel block), at most a
+# lattice slab (see GpEmulator._lattice_blocks), and a block of the
+# selection's one pass (quantile columns, constraint filter, score bound),
+# so that every temporary stays cache-sized.
 _ROW_BLOCK = 4096
 
 _COLD_STARTS = 5  # L-BFGS-B searches of a fit without a warm start
@@ -472,8 +473,8 @@ class GpEmulator:
         ``axes``, when given, are the per-coordinate values whose
         lexicographic product (first coordinate slowest) is the stack ``x``,
         as ``problems.candidate_axes`` gives them; only the shapes are
-        checked. The blocks are then ``_lattice_blocks`` slabs of first-axis
-        values, else ``_ROW_BLOCK`` points each.
+        checked. The blocks are then the ``_lattice_blocks`` slabs, which
+        build no kernel block, else ``_ROW_BLOCK`` points each.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -481,39 +482,46 @@ class GpEmulator:
         blocks = self._point_blocks(Xq) if axes is None else self._lattice_blocks(Xq, axes)
         mean = np.empty(Xq.shape[0])
         var = np.empty(Xq.shape[0])
-        for rows, k in blocks:  # k is the (block, S) kernel block of the rows
-            kp = k @ self._proj
+        for rows, kp in blocks:  # k @ proj of the rows, its columns on axis 1
             h = 1.0 - kp[:, 1]
             w = kp[:, 2:]
-            mean[rows] = self.beta0 + kp[:, 0]
-            var[rows] = (self.params.process_variance - np.einsum("ij,ij->i", w, w)
-                         + h * h / self._one_Cinv_one)
+            mean[rows] = (self.beta0 + kp[:, 0]).ravel()
+            var[rows] = (self.params.process_variance - np.einsum("ij...,ij...->i...", w, w)
+                         + h * h / self._one_Cinv_one).ravel()
         np.maximum(var, 0.0, out=var)
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
 
     def _point_blocks(self, x: np.ndarray):
-        """(rows, kernel block) pairs for an (n, v) stack of points,
-        ``_ROW_BLOCK`` rows at a time, from pairwise distances."""
+        """(rows, k @ proj) pairs for an (n, v) stack of points,
+        ``_ROW_BLOCK`` rows at a time, with the kernel block k from pairwise
+        distances."""
         Xq = self.scale(x)
         for lo in range(0, Xq.shape[0], _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             yield rows, _kernel_matrix(self.params.process_variance, self.params.lengthscales,
-                                       Xq[rows], self._X)
+                                       Xq[rows], self._X) @ self._proj
 
     def _lattice_blocks(self, x: np.ndarray, axes):
-        """(rows, kernel block) pairs for the stack ``x`` that is the
-        lexicographic product of ``axes``.
+        """(rows, k @ proj) pairs for the stack ``x`` that is the
+        lexicographic product of ``axes``; each product has the shape
+        (slab, S + 2, tail), its entry [p, :, t] for the point of lead row p
+        and tail row t.
 
         The kernel is a product over coordinates, so with the per-axis
-        tables E_k[i, s] = exp(-(g_ik - x_sk)^2 / 2 l_k^2) every row of the
-        block is a product of one row of each table: v r S exponentials
-        instead of r^v S. The axes after the first make one tail table, with
-        the process variance folded in; each block is a slab of
-        ``max(1, _ROW_BLOCK // len(tail))`` consecutive first-axis rows times
-        the tail, built only when the loop reaches it. A slab is longer than
-        ``_ROW_BLOCK`` rows only when the tail alone is.
+        tables E_k[i, s] = exp(-(g_ik - x_sk)^2 / 2 l_k^2) every kernel row
+        is a product of one row of each table: v r S exponentials instead of
+        r^v S. The first axis makes the lead table and the others the tail
+        table; when the others hold one point (one axis, or the rest
+        pinned), all the axes make the tail, and the lead is one row of
+        ones. The point (p, t) then has k @ proj = sum_s lead[p, s]
+        (process variance proj[s]) tail[t, s], so a slab of
+        ``max(1, _ROW_BLOCK // len(tail))`` consecutive lead rows is one
+        product of the lead rows times the weighted projection with the
+        tail, and no kernel block is built. A tail longer than
+        ``_ROW_BLOCK`` rows is taken in parts of that many, so no block is
+        longer.
         """
         axes = [np.asarray(a, dtype=float) for a in axes]
         sizes = [a.size for a in axes]
@@ -525,13 +533,19 @@ class GpEmulator:
             d = ((a - self._lb[k]) / self._span[k])[:, None] - self._X[:, k]
             d /= self.params.lengthscales[k]
             tables.append(np.exp(-0.5 * d * d))  # (r_k, S)
-        tail = np.full((1, S), self.params.process_variance)
-        for table in reversed(tables[1:]):
+        lead = tables.pop(0) if math.prod(sizes[1:]) > 1 else np.ones((1, S))
+        tail = np.ones((1, S))
+        for table in reversed(tables):
             tail = (table[:, None, :] * tail).reshape(-1, S)
+        weights = self.params.process_variance * self._proj.T  # (S + 2, S)
         per = max(1, _ROW_BLOCK // len(tail))
-        for lo in range(0, sizes[0], per):
-            yield (slice(lo * len(tail), (lo + per) * len(tail)),
-                   (tables[0][lo:lo + per, None, :] * tail).reshape(-1, S))
+        for lo in range(0, len(lead), per):
+            slab = (lead[lo:lo + per, None, :] * weights).reshape(-1, S)
+            for t0 in range(0, len(tail), _ROW_BLOCK):  # once, unless per is 1
+                part = tail[t0:t0 + _ROW_BLOCK]
+                kp = (slab @ part.T).reshape(-1, S + 2, len(part))
+                start = lo * len(tail) + t0
+                yield slice(start, start + kp.shape[0] * len(part)), kp
 
     def quantile(self, x, beta: float):
         """beta-quantile of the posterior: m(x) + PHI^{-1}(beta) s(x)."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import future_noise, merge_replicate, quantile_posterior_arrays
-from .gp import (GpDataset, GpEmulator, NoisyObservation, real_number, std_normal_quantile,
-                 whole_number)
+from .gp import (_ROW_BLOCK, GpDataset, GpEmulator, NoisyObservation, real_number,
+                 std_normal_quantile, whole_number)
 from .pareto import (ImprovementMode, ParetoFront, _score_bounds, build_front, feasible_mask,
                      moeeqi_scores)
 from .problems import (
@@ -162,30 +162,36 @@ def _criterion(state: "RunState") -> tuple:
     return 0.5, [0.0, 0.0]
 
 
-def _quantiles(state: "RunState", X: np.ndarray, axes=None) -> tuple:
-    """The comparator's beta, each objective's posterior ``(mean, variance)``
-    at ``X`` and the one-step-ahead quantile means and sds, all (n, 2) arrays;
-    a quantile that is not finite is a ValueError naming the objective.
-    ``axes``, when given, are the per-coordinate values whose product is
-    ``X`` (see ``GpEmulator.posterior``)."""
-    beta, sigma2_future = _criterion(state)
-    m, s2 = np.stack([em.posterior(X, axes=axes) for em in state.emulators], axis=-1)
-    mq, sq = quantile_posterior_arrays(m, s2, np.array(sigma2_future), beta)
-    if not (np.isfinite(mq).all() and np.isfinite(sq).all()):
-        bad = ~(np.isfinite(mq) & np.isfinite(sq))
-        i = int(np.argmax(bad.any(axis=0)))
+def _quantiles(beta: float, sigma2_future, posteriors, rows, out: np.ndarray) -> np.ndarray:
+    """Write the one-step-ahead quantile means and sds at ``rows`` of each
+    objective's posterior ``(mean, variance)`` arrays in ``posteriors`` to
+    the rows of ``out``, (4, b): mean 1, sd 1, mean 2, sd 2. Returns per
+    objective the count of points where either is not finite."""
+    for i, ((m, s2), sigma2_new) in enumerate(zip(posteriors, sigma2_future)):
+        out[2 * i], out[2 * i + 1] = quantile_posterior_arrays(m[rows], s2[rows], sigma2_new, beta)
+    return np.count_nonzero((~np.isfinite(out)).reshape(2, 2, -1).any(axis=1), axis=1)
+
+
+def _check_finite(bad: np.ndarray, n: int) -> None:
+    """A ValueError naming the first objective with a non-finite quantile
+    posterior, by its ``bad`` count of the ``n`` points."""
+    if bad.any():
+        i = int(np.argmax(bad > 0))
         raise ValueError(f"objective {i + 1}: the quantile posterior is not finite at "
-                         f"{np.count_nonzero(bad[:, i])} of {len(X)} points; rescale the objective")
-    return beta, (m, s2), mq, sq
+                         f"{bad[i]} of {n} points; rescale the objective")
 
 
 def _design_front(state: "RunState") -> ParetoFront:
     """Front of current-emulator quantiles at the design locations, with the
     noise-adjusted constraint filter applied."""
     locations = state.datasets[0].locations()
-    beta, (m, s2), _, sd = _quantiles(state, locations)
-    quantiles = m + float(std_normal_quantile(beta)) * np.sqrt(s2)
-    keep = feasible_mask(quantiles, sd, state.problem.constraints, beta,
+    beta, sigma2_future = _criterion(state)
+    posteriors = [em.posterior(locations) for em in state.emulators]
+    cols = np.empty((4, len(locations)))
+    _check_finite(_quantiles(beta, sigma2_future, posteriors, slice(None), cols), len(locations))
+    z = float(std_normal_quantile(beta))
+    quantiles = np.column_stack([m + z * np.sqrt(s2) for m, s2 in posteriors])
+    keep = feasible_mask(quantiles, cols[1::2].T, state.problem.constraints, beta,
                          state.config.literal_constraint_formula)
     return build_front(quantiles[keep], locations[keep])
 
@@ -194,29 +200,52 @@ def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: Impro
             axes=None):
     """Argmax of the criterion over the grid against the design-location
     ``front``, first on ties; ``axes`` are the grid's per-coordinate values
-    when it is a lattice (see ``_quantiles``). Candidates failing the
-    constraint filter are not scored; when no candidate scores above zero,
-    the point of largest summed posterior variance is taken instead.
+    when it is a lattice (see ``GpEmulator.posterior``). Candidates failing
+    the constraint filter are not scored; when no candidate scores above
+    zero, the point of largest summed posterior variance is taken instead.
+    A quantile that is not finite is a ValueError naming the objective.
     Returns (point, score, fallback).
 
-    Only candidates whose score bound reaches the best exact score among the
-    ``_SEED_CANDIDATES`` largest bounds are scored. The bound holds for the
-    computed scores, rounding included, so the result equals the full
-    argmax."""
-    beta, (_, s2), mq, sq = _quantiles(state, grid, axes)
-    rows = np.flatnonzero(feasible_mask(mq, sq, state.problem.constraints, beta,
-                                        state.config.literal_constraint_formula))
-    if len(front) > 0 and rows.size > 0:
-        cols = (mq[rows, 0], sq[rows, 0], mq[rows, 1], sq[rows, 1])
-        bound = _score_bounds(front, *cols, mode)
-        lead = np.argpartition(bound, -min(_SEED_CANDIDATES, bound.size))[-_SEED_CANDIDATES:]
-        best = np.max(moeeqi_scores(front, *(c[lead] for c in cols), mode))
+    One pass over ``_ROW_BLOCK`` candidates at a time writes the feasible
+    ones' quantile columns, grid rows and score bounds, packed, and keeps
+    the first maximum of the summed variance. Only candidates whose bound
+    reaches the best exact score among the ``_SEED_CANDIDATES`` largest
+    bounds are then scored. The bound holds for the computed scores,
+    rounding included, so the result equals the full argmax."""
+    beta, sigma2_future = _criterion(state)
+    posteriors = [em.posterior(grid, axes=axes) for em in state.emulators]
+    n = len(grid)
+    cols, rows, bound = np.empty((4, n)), np.empty(n, dtype=np.intp), np.empty(n)
+    bad, kept, widest, fallback = np.zeros(2, dtype=int), 0, -math.inf, 0
+    for lo in range(0, n, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        spread = posteriors[0][1][block] + posteriors[1][1][block]
+        top = int(np.argmax(spread))
+        if spread[top] > widest:
+            widest, fallback = spread[top], lo + top
+        new = cols[:, kept:kept + spread.size]
+        bad += _quantiles(beta, sigma2_future, posteriors, block, new)
+        if bad.any() or len(front) == 0:
+            continue
+        keep = np.flatnonzero(feasible_mask(new[0::2].T, new[1::2].T, state.problem.constraints,
+                                            beta, state.config.literal_constraint_formula))
+        packed = slice(kept, kept + keep.size)
+        if keep.size < spread.size:
+            cols[:, packed] = new[:, keep]
+        rows[packed] = lo + keep
+        bound[packed] = _score_bounds(front, *cols[:, packed], mode)
+        kept += keep.size
+    _check_finite(bad, n)
+    if kept:
+        cols, bound = cols[:, :kept], bound[:kept]
+        lead = np.argpartition(bound, -min(_SEED_CANDIDATES, kept))[-_SEED_CANDIDATES:]
+        best = np.max(moeeqi_scores(front, *cols[:, lead], mode))
         live = np.flatnonzero(bound >= best)
-        scores = moeeqi_scores(front, *(c[live] for c in cols), mode)
+        scores = moeeqi_scores(front, *cols[:, live], mode)
         top = int(np.argmax(scores))
         if scores[top] > 0.0:
             return grid[rows[live[top]]], float(scores[top]), False
-    return grid[int(np.argmax(s2[:, 0] + s2[:, 1]))], 0.0, True
+    return grid[fallback], 0.0, True
 
 
 def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode):

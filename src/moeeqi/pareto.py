@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .acquisition import QuantilePosterior
-from .gp import _ROW_BLOCK, std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .gp import real_number, std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 __all__ = [
     "FrontPoint",
@@ -95,7 +95,8 @@ class ConstraintSpec:
     upper_bounds: tuple = (None, None)
 
     def __post_init__(self):
-        if not all(b is None or math.isfinite(b) for b in self.upper_bounds):
+        if not all(b is None or math.isfinite(real_number(b, "upper_bounds entry"))
+                   for b in self.upper_bounds):
             raise ValueError(f"upper_bounds must be finite numbers or None, got {self.upper_bounds}")
 
     @property
@@ -183,9 +184,11 @@ def _strips(front: ParetoFront, mode: ImprovementMode):
     return edges, tops
 
 
-def _score_bounds(front: ParetoFront, mu1, sd1, mu2, sd2, mode: ImprovementMode) -> np.ndarray:
+def _score_bounds(front: ParetoFront, m1, s1, m2, s2, mode: ImprovementMode) -> np.ndarray:
     """Upper bounds on ``moeeqi_scores`` of the (n,) candidate arrays, at two
-    normal cdfs per candidate, ``_ROW_BLOCK`` candidates at a time.
+    normal cdfs per candidate. It builds (m, n) arrays for a front of m
+    points, so the selection passes a ``gp._ROW_BLOCK`` of candidates at a
+    time.
 
     For any front point f, Cauchy-Schwarz gives score <= sqrt(E|Q - f|^2 P(R))
     over the improving region R. For any split k of the strips, every strip
@@ -201,20 +204,15 @@ def _score_bounds(front: ParetoFront, mu1, sd1, mu2, sd2, mode: ImprovementMode)
     edges, tops = _strips(front, mode)
     t, top, z = edges[1:-1, None], tops[1:, None], front.q2s()[:, None]
     reach = np.max(np.abs(t)) + np.max(np.abs(top))
-    out = np.empty(mu1.size)
-    for lo in range(0, out.size, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        m1, s1, m2, s2 = mu1[rows], sd1[rows], mu2[rows], sd2[rows]
-        pos1, pos2 = s1 > 0.0, s2 > 0.0
-        d1, b = t - m1, top - m2  # (m, block): one row per split
-        sq = np.min(d1 * d1 + (z - m2) ** 2, axis=0)
-        a, b = np.divide(d1, s1, out=d1, where=pos1), np.divide(b, s2, out=b, where=pos2)
-        k = np.argmin(np.maximum(a, b), axis=0)[None]
-        a, b = np.take_along_axis(a, k, axis=0)[0], np.take_along_axis(b, k, axis=0)[0]
-        mass = np.where(pos1, std_normal_cdf(a), a >= 0.0) + np.where(pos2, std_normal_cdf(b), b >= 0.0)
-        out[rows] = (np.sqrt((sq + s1 * s1 + s2 * s2) * np.minimum(mass, 1.0))
-                     + _ROUNDING * (np.abs(m1) + np.abs(m2) + s1 + s2 + reach))
-    return out
+    pos1, pos2 = s1 > 0.0, s2 > 0.0
+    d1, b = t - m1, top - m2  # (m, n): one row per split
+    sq = np.min(d1 * d1 + (z - m2) ** 2, axis=0)
+    a, b = np.divide(d1, s1, out=d1, where=pos1), np.divide(b, s2, out=b, where=pos2)
+    k = np.argmin(np.maximum(a, b), axis=0)[None]
+    a, b = np.take_along_axis(a, k, axis=0)[0], np.take_along_axis(b, k, axis=0)[0]
+    mass = np.where(pos1, std_normal_cdf(a), a >= 0.0) + np.where(pos2, std_normal_cdf(b), b >= 0.0)
+    return (np.sqrt((sq + s1 * s1 + s2 * s2) * np.minimum(mass, 1.0))
+            + _ROUNDING * (np.abs(m1) + np.abs(m2) + s1 + s2 + reach))
 
 
 def _normal_edge(mu: np.ndarray, sd: np.ndarray):

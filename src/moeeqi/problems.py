@@ -52,7 +52,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        lo, hi = real_number(self.lo, "lo"), real_number(self.hi, "hi")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"uniform bounds must be finite with lo < hi, got ({self.lo}, {self.hi})")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,9 +66,9 @@ class Normal:
     sd: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
+        if not math.isfinite(real_number(self.mu, "mu")):
             raise ValueError(f"normal mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.sd) and self.sd > 0.0):
+        if not (math.isfinite(real_number(self.sd, "sd")) and self.sd > 0.0):
             raise ValueError(f"normal sd must be finite and positive, got {self.sd}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,7 +166,7 @@ def toy_problem(
     """Benchmark problem instance with tuning parameter ``a`` controlling the
     nonlinear part of the environmental noise. ``control_bounds`` must lie
     inside the benchmark's box [0, pi/2] x [0, 1]."""
-    if not (math.isfinite(a) and a >= 0.0):
+    if not (math.isfinite(real_number(a, "a")) and a >= 0.0):
         raise ValueError(f"a must be finite and non-negative, got {a}")
 
     def evaluator(xc, xe_batch):

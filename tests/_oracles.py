@@ -409,17 +409,18 @@ def emulator_projection_reference(dataset, params, control_bounds=None):
     return proj, beta0, jitter
 
 
-def select_reference(state, front, grid, mode):
+def select_reference(state, front, grid, mode, axes=None):
     """The selection by full argmax: every grid candidate scored exactly,
     infeasible ones set to zero, first on ties; the maximum summed posterior
-    variance when nothing scores above zero. Returns (point, score,
-    fallback)."""
+    variance when nothing scores above zero. ``axes``, the grid's
+    per-coordinate values when it is a lattice, go to the posterior. Returns
+    (point, score, fallback)."""
     beta, sigma2_future = _criterion(state)
     mq = np.empty((grid.shape[0], 2))
     sq = np.empty_like(mq)
     var_sum = np.zeros(grid.shape[0])
     for i, em in enumerate(state.emulators):
-        m, s2 = em.posterior(grid)
+        m, s2 = em.posterior(grid, axes=axes)
         mq[:, i], sq[:, i] = quantile_posterior_arrays(m, s2, sigma2_future[i], beta)
         var_sum += s2
     if len(front) == 0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from moeeqi.acquisition import quantile_posterior
-from moeeqi.gp import GpDataset, GpEmulator, KernelParams, NoisyObservation
+from moeeqi.gp import _ROW_BLOCK, GpDataset, GpEmulator, KernelParams, NoisyObservation
 from moeeqi.optimizer import (
     Metrics,
     RunConfig,
@@ -382,6 +382,32 @@ class TestQuantileTable:
             grid = np.linspace(0.0, 1.0, 40)[:, None]
             with pytest.raises(ValueError, match="^objective 2: .* not finite at 1 of 40 points"):
                 _select(state, ParetoFront([]), grid, AGG)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({1: [5, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 10]}, "objective 2: .* not finite at 3 of"),
+        ({0: [2 * _ROW_BLOCK + 11], 1: [5]}, "objective 1: .* not finite at 1 of"),
+    ])
+    def test_non_finite_count_spans_every_block(self, monkeypatch, bad, message):
+        # The count covers the whole grid, though the selection meets the
+        # points a block at a time, and the first objective with any is named.
+        X = np.linspace(0.05, 0.95, 5)
+        obs1 = [NoisyObservation([x], float(np.sin(6 * x)), 0.01) for x in X]
+        obs2 = [NoisyObservation([x], float(np.cos(6 * x)), 0.01) for x in X]
+        state = _manual_state(obs1, obs2, KernelParams(1.0, [0.3]))
+        front = _design_front(state)
+        for i, rows in bad.items():
+            plain = state.emulators[i].posterior
+
+            def posterior(x, axes=None, plain=plain, rows=rows):
+                m, s2 = plain(x, axes=axes)
+                m[rows[:-1]] = math.nan
+                s2[rows[-1]] = math.nan
+                return m, s2
+
+            monkeypatch.setattr(state.emulators[i], "posterior", posterior)
+        axes = [np.linspace(0.0, 1.0, 2 * _ROW_BLOCK + 17)]
+        with pytest.raises(ValueError, match=f"^{message} {2 * _ROW_BLOCK + 17} points"):
+            _select(state, front, axes[0][:, None], AGG, axes)
 
 
 class TestObjectiveScale:

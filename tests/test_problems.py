@@ -87,6 +87,19 @@ class TestSampleEnvironment:
         with pytest.raises(ValueError, match=field):
             build()
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Uniform(False, True), "lo must be a real number, got False"),
+        (lambda: Uniform(0.0, True), "hi must be a real number, got True"),
+        (lambda: Normal(True, 1.0), "mu must be a real number, got True"),
+        (lambda: Normal(0.0, True), "sd must be a real number, got True"),
+        (lambda: toy_problem(True), "a must be a real number, got True"),
+        (lambda: ConstraintSpec((True, None)), "upper_bounds entry must be a real number, got True"),
+        (lambda: ConstraintSpec((None, "1.0")), "upper_bounds entry must be a real number"),
+    ])
+    def test_booleans_are_not_numbers(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo aggregation

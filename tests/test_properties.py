@@ -26,7 +26,8 @@ from moeeqi.gp import (_JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitEr
 from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics, run
 from moeeqi.pareto import (ConstraintSpec, FrontPoint, ImprovementMode, ParetoFront,
                            _improvement_terms, _score_bounds, build_front, moeeqi, moeeqi_scores)
-from moeeqi.problems import ProblemSchemaError, ProblemSpec, Uniform, initial_design, read_document
+from moeeqi.problems import (ProblemSchemaError, ProblemSpec, Uniform, candidate_axes,
+                             candidate_grid, initial_design, read_document)
 
 # Small integers make ties in q1 and exact duplicates common.
 _values = st.lists(
@@ -489,6 +490,62 @@ def test_select_equals_the_full_argmax(state_grid, mode, empty_front):
     front = ParetoFront([]) if empty_front else _design_front(state)
     point, score, fallback = _select(state, front, grid, mode)
     want_point, want_score, want_fallback = select_reference(state, front, grid, mode)
+    assert point.tobytes() == want_point.tobytes()
+    assert (score, fallback) == (want_score, want_fallback)
+
+
+@st.composite
+def _lattice_selection_states(draw):
+    """A two-objective state with hand-set kernels on a box of 1 to 3 axes,
+    and a candidate lattice in it with its axes. With two or three axes one
+    axis may be pinned to a single value. The lattice is small, or just
+    over one or two ``_ROW_BLOCK`` blocks, the last one short. Short
+    lengthscales make the posterior flat away from the data, so that
+    scores and summed variances tie across blocks. The constraint on
+    objective 1 is absent, cuts through the candidates, or rejects them
+    all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    lo = rng.uniform(-2.0, 1.0, dim)
+    bounds = np.column_stack([lo, lo + rng.uniform(0.5, 3.0, dim)])
+    size = draw(st.integers(2, 8))
+    X = bounds[:, 0] + rng.uniform(0.0, 1.0, (size, dim)) * (bounds[:, 1] - bounds[:, 0])
+    noisy = draw(st.booleans())
+    datasets = tuple(
+        GpDataset([NoisyObservation(x, float(m), float(v)) for x, m, v in
+                   zip(X, rng.normal(0.0, 1.0, size), rng.uniform(0.0, 0.3, size) * noisy)])
+        for _ in range(2))
+    cut = draw(st.sampled_from(["none", "middle", "all"]))
+    bound = {"none": None, "middle": float(np.median(datasets[0].means())), "all": -1e6}[cut]
+    problem = ProblemSpec(evaluator=lambda xc, xe: np.zeros((len(xe), 2)), env=(Uniform(-1.0, 1.0),),
+                          control_bounds=bounds, constraints=ConstraintSpec((bound, None)))
+    scale = draw(st.sampled_from([1.0, 0.05]))
+    params = [KernelParams(float(rng.uniform(0.5, 2.0)), rng.uniform(0.1, 0.6, dim) * scale)
+              for _ in range(2)]
+    emulators = tuple(GpEmulator(ds, p, control_bounds=bounds) for ds, p in zip(datasets, params))
+    config = RunConfig(beta=draw(st.sampled_from([0.5, 0.7, 0.9])), n_mc=2, n_iter=0,
+                       comparator=draw(st.sampled_from(["moeeqi", "moeei"])),
+                       literal_constraint_formula=draw(st.booleans()))
+    empty = ParetoFront([])
+    state = RunState(problem, config, datasets, emulators, 0, empty, empty)
+    lattice = bounds.copy()
+    pinned = draw(st.integers(-1, dim - 1)) if dim > 1 else -1
+    if pinned >= 0:
+        lattice[pinned] = rng.uniform(*bounds[pinned])
+    free = dim - (pinned >= 0)
+    blocks = draw(st.sampled_from([0, 1, 2]))  # full blocks below the lattice size
+    resolution = (int(rng.integers(2, 12)) if blocks == 0 else
+                  math.ceil((blocks * _ROW_BLOCK + 1) ** (1 / free)) + int(rng.integers(0, 3)))
+    return state, candidate_grid(lattice, resolution), candidate_axes(lattice, resolution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_selection_states(), st.sampled_from(list(ImprovementMode)), st.booleans())
+def test_lattice_select_equals_the_full_argmax(state_grid_axes, mode, empty_front):
+    state, grid, axes = state_grid_axes
+    front = ParetoFront([]) if empty_front else _design_front(state)
+    point, score, fallback = _select(state, front, grid, mode, axes)
+    want_point, want_score, want_fallback = select_reference(state, front, grid, mode, axes)
     assert point.tobytes() == want_point.tobytes()
     assert (score, fallback) == (want_score, want_fallback)
 
