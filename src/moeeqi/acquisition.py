@@ -51,15 +51,17 @@ def quantile_posterior_arrays(mean, var, sigma2_new, beta: float):
     """Elementwise ``quantile_posterior`` over arrays of posterior means and
     variances (and of ``sigma2_new``), without input validation; returns (means, sds).
     ``var`` and ``sigma2_new`` must be >= 0, as the posterior's clamp and
-    ``future_noise`` give them; where both are 0, the shift and the sd are 0."""
+    ``future_noise`` give them; where both are 0, the shift and the sd are 0.
+    An infinite ``var`` gives NaN, without a warning, for the caller to count."""
     var = np.asarray(var, float)
     total = var + sigma2_new
     safe = np.where(total > 0.0, total, 1.0)
     # sqrt(var) sqrt(sigma2_new / total), not sqrt(sigma2_new var / total): the
     # product of two variances overflows or underflows at objective scales
     # whose quantiles are representable.
-    shift = float(std_normal_quantile(beta)) * np.sqrt(var) * np.sqrt(sigma2_new / safe)
-    return mean + shift, var / np.sqrt(safe)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf / inf
+        shift = float(std_normal_quantile(beta)) * np.sqrt(var) * np.sqrt(sigma2_new / safe)
+        return mean + shift, var / np.sqrt(safe)
 
 
 def quantile_posterior(m: float, s2: float, sigma2_new: float, beta: float) -> QuantilePosterior:

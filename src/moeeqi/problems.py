@@ -299,10 +299,11 @@ def intervention_cost_parts(p: CostParams) -> tuple:
 
 
 def _maxpro_terms(rows: np.ndarray, design: np.ndarray) -> np.ndarray:
-    # 1 / prod_k (r_k - x_lk)^2 for each row r of ``rows`` and point x_l
-    diff = rows[:, None, :] - design[None, :, :]
+    # 1 / prod_k (r_k - x_lk)^2 for each row r of ``rows`` and point x_l,
+    # over any leading (batch) axes that the two share
+    diff = rows[..., :, None, :] - design[..., None, :, :]
     with np.errstate(divide="ignore"):
-        return 1.0 / np.prod(diff * diff, axis=2)
+        return 1.0 / np.prod(diff * diff, axis=-1)
 
 
 def _latin_hypercube(s: int, v: int, rng: np.random.Generator) -> np.ndarray:
@@ -333,7 +334,14 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
 
     # The MaxPro criterion is the sum over point pairs (the upper triangle,
     # row by row) of the terms in ``inv``; lower is better. A swap of rows
-    # i and j changes only their rows and columns of ``inv``.
+    # i and j in column k changes only their rows and columns of ``inv``.
+    # Swaps are tried in (k, i, j) order and the first that lowers the
+    # criterion is kept. A rejected swap leaves the state as it was, so all
+    # partners j of row i are scored in one batch, and after a hit the next
+    # batch starts at j + 1. Each criterion is a row of a C-ordered ``take``:
+    # its sum adds pairwise, as the 1-D sum of a single trial does (a fancy
+    # index ``[:, upper]`` is F-ordered and sums left to right), so the
+    # designs equal those of trying one swap at a time, bit for bit.
     upper = np.flatnonzero(np.triu(np.ones((s, s), dtype=bool), k=1))
     best, best_crit = None, np.inf
     for _ in range(_DESIGN_RESTARTS):
@@ -344,20 +352,25 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
             improved = False
             for k in range(v):
                 for i in range(s - 1):
-                    for j in range(i + 1, s):
-                        design[i, k], design[j, k] = design[j, k], design[i, k]
-                        old_i, old_j = inv[i].copy(), inv[j].copy()
-                        new_i, new_j = _maxpro_terms(design[[i, j]], design)
-                        inv[i] = inv[:, i] = new_i
-                        inv[j] = inv[:, j] = new_j
-                        trial = float(np.sum(inv.take(upper)))
-                        if trial < crit:
-                            crit = trial
-                            improved = True
-                        else:
-                            design[i, k], design[j, k] = design[j, k], design[i, k]
-                            inv[i] = inv[:, i] = old_i
-                            inv[j] = inv[:, j] = old_j
+                    start = i + 1
+                    while start < s:
+                        js = np.arange(start, s)
+                        m = np.arange(len(js))
+                        trials = np.repeat(design[None], len(js), axis=0)
+                        trials[:, i, k] = design[js, k]
+                        trials[m, js, k] = design[i, k]
+                        new = _maxpro_terms(np.stack((trials[:, i], trials[m, js]), axis=1), trials)
+                        terms = np.repeat(inv[None], len(js), axis=0)
+                        terms[:, i] = terms[:, :, i] = new[:, 0]
+                        terms[m, js] = terms[m, :, js] = new[:, 1]
+                        crits = terms.reshape(len(js), -1).take(upper, axis=1).sum(axis=1)
+                        hits = np.flatnonzero(crits < crit)
+                        if not hits.size:
+                            break
+                        h = hits[0]
+                        design, inv, crit = trials[h], terms[h], float(crits[h])
+                        improved = True
+                        start = js[h] + 1
             if not improved:
                 break
         if crit < best_crit:

@@ -362,6 +362,22 @@ class TestSelection:
 class TestQuantileTable:
     @pytest.mark.parametrize("where", ["design front", "grid"])
     def test_non_finite_quantile_is_an_error_naming_the_objective(self, monkeypatch, where):
+        def spoil(m, s2):
+            m[2] = math.nan
+
+        self._assert_named_error(monkeypatch, where, spoil)
+
+    @pytest.mark.parametrize("where", ["design front", "grid"])
+    def test_infinite_variance_is_an_error_naming_the_objective(self, monkeypatch, where):
+        # The quantile shift and sd meet inf * 0 and inf / inf here; the NaN
+        # they give must reach the count without a RuntimeWarning on the way.
+        def spoil(m, s2):
+            s2[2] = math.inf
+
+        self._assert_named_error(monkeypatch, where, spoil)
+
+    @staticmethod
+    def _assert_named_error(monkeypatch, where, spoil):
         X = np.linspace(0.05, 0.95, 5)
         obs1 = [NoisyObservation([x], float(np.sin(6 * x)), 0.01) for x in X]
         obs2 = [NoisyObservation([x], float(np.cos(6 * x)), 0.01) for x in X]
@@ -370,7 +386,7 @@ class TestQuantileTable:
 
         def posterior(x, axes=None):
             m, s2 = plain(x, axes=axes)
-            m[2] = math.nan
+            spoil(m, s2)
             return m, s2
 
         monkeypatch.setattr(state.emulators[1], "posterior", posterior)

@@ -567,6 +567,19 @@ def test_initial_design_equals_the_full_recompute_reference(seed, size, dim):
     assert np.array_equal(got, initial_design_reference(size, bounds, np.random.default_rng(seed)))
 
 
+@pytest.mark.parametrize("size, bounds", [
+    (20, [[-1.0, 2.0]]),
+    (20, [[-1.0, 2.0]] * 2),
+    (20, [[-1.0, 2.0]] * 3),
+    (30, [[-1.0, 2.0]] * 2),
+    (20, [[0.0, 1.0], [0.5, 0.5], [-2.0, 3.0]]),  # a pinned axis
+])
+def test_initial_design_equals_the_reference_at_the_benchmark_size(size, bounds):
+    # Above the property's sizes: 20 initial points is the dense_select size.
+    got = initial_design(size, bounds, np.random.default_rng(7))
+    assert np.array_equal(got, initial_design_reference(size, bounds, np.random.default_rng(7)))
+
+
 @st.composite
 def _pinned_box(draw):
     """A box of 2-4 axes and pins on a proper subset of them, each value in

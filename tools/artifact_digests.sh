@@ -26,7 +26,8 @@
 # and once with the same document passed inline as --problem text (the two
 # must list the same digests); run on an 80x80 grid
 # (6,400 candidates, more than one row block of the posterior and the
-# score bound); a 2-replicate study; and
+# score bound); run with 20 initial points, the dense_select benchmark's
+# design size, on a small grid; a 2-replicate study; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
 # (wall times) are not listed. Exits 1 without a listing unless some run's
 # observations.csv has a row with replications > 1.
@@ -103,6 +104,10 @@ cat >"$work/grid80.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 80, "initial_design_size": 5,
  "seed": 6}
 JSON
+cat >"$work/design20.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10, "n_iter": 3, "grid_resolution": 20, "initial_design_size": 20,
+ "seed": 8}
+JSON
 cat >"$work/study.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 30, "initial_design_size": 5,
  "seed": 3, "truth_resolution": 200}
@@ -130,6 +135,7 @@ cli run --problem "$work/toy_subbox.json" --config "$work/plain.json" --seed 5 \
 cli run --problem "$(cat "$work/toy_subbox.json")" --config "$work/plain.json" --seed 5 \
     --out "$out/run_subbox_inline"
 cli run --problem "$work/toy.json" --config "$work/grid80.json" --out "$out/run_grid80"
+cli run --problem "$work/toy.json" --config "$work/design20.json" --out "$out/run_design20"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
 cli oracle --problem "$work/toy.json" --resolution 200 --out "$out/oracle/front.csv"
