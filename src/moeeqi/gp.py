@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lbfgsb import setulb
 from scipy.special import erfc, ndtri
 
 __all__ = [
@@ -55,6 +56,17 @@ _ROW_BLOCK = 4096
 
 _COLD_STARTS = 5  # L-BFGS-B searches of a fit without a warm start
 _WARM_STARTS = 3  # a warm start from the previous estimate converges quickly
+
+# L-BFGS-B with scipy.optimize.minimize's defaults for the method: stored
+# correction pairs, the relative-reduction tolerance as a multiple of the
+# machine epsilon (ftol 2.22e-9), the projected-gradient tolerance, line
+# search steps per iteration, and the iteration and evaluation caps.
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 15000
+_LBFGSB_MAXFUN = 15000
 
 # Negative log-likelihood reported where the covariance cannot be factored:
 # far above any attained value, yet finite, as L-BFGS-B needs.
@@ -327,6 +339,63 @@ def _default_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     return bounds
 
 
+def minimize(fun, x0, bounds) -> OptimizeResult:
+    """Minimize ``fun`` over the box ``bounds``, a (low, high) pair per
+    coordinate, by L-BFGS-B from ``x0``; ``fun(x)`` returns the value and
+    its gradient. Returns an ``OptimizeResult`` with ``x``, ``fun`` and
+    ``nfev``, the number of calls of ``fun``.
+
+    Runs scipy's L-BFGS-B routine ``setulb`` through its
+    reverse-communication loop (Zhu, Byrd, Lu & Nocedal 1997, Algorithm
+    778) exactly as ``scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
+    jac=True, bounds=bounds)`` does, with its default settings, so that
+    ``x``, ``fun`` and ``nfev`` are bit-identical to it, without its
+    function wrappers and result objects: ``x0`` is clipped to the box and
+    evaluated first, a request at the point last evaluated reuses that
+    evaluation, and a search stops at the iteration or evaluation cap.
+    """
+    low = np.array([b[0] for b in bounds], float)
+    high = np.array([b[1] for b in bounds], float)
+    x = np.clip(np.asarray(x0, float), low, high)
+    n = x.size
+    x_last = x.copy()
+    f_last, g_last = fun(x_last)
+    nfev = 1
+    m = _LBFGSB_M
+    nbd = np.full(n, 2, np.int32)  # every coordinate bounded below and above
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    iterations = 0
+    while True:
+        g = g.astype(np.float64)  # setulb may write to g: never hand it fun's array
+        setulb(m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
+               lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        # task[0]: 3 asks for the value and gradient at x, 1 reports a new
+        # iterate, 4 convergence and 5 a stop; task[1] gives the reason
+        if task[0] == 3:
+            if not np.array_equal(x, x_last):
+                x_last = x.copy()
+                f_last, g_last = fun(x_last)
+                nfev += 1
+            f, g = f_last, g_last
+        elif task[0] == 1:
+            iterations += 1
+            if iterations >= _LBFGSB_MAXITER:
+                task[:] = 5, 504  # stop: iteration cap
+            elif nfev > _LBFGSB_MAXFUN:
+                task[:] = 5, 502  # stop: evaluation cap
+        else:
+            break
+    return OptimizeResult(x=x, fun=f, nfev=nfev)
+
+
 def fit_hyperparameters(
     dataset: GpDataset,
     rng=None,
@@ -380,7 +449,7 @@ def fit_hyperparameters(
 
     best_theta, best_val = None, _FAILED_FIT
     for theta0 in starts:
-        res = minimize(objective, theta0, method="L-BFGS-B", jac=True, bounds=log_box)
+        res = minimize(objective, theta0, bounds=log_box)
         if res.fun < best_val:
             best_theta, best_val = res.x, res.fun
     if best_theta is None:

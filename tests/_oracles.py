@@ -13,8 +13,9 @@ recomputes the whole MaxPro criterion on every trial swap, and the
 selection reference scores every grid candidate exactly. The GP
 linear-algebra references are the same computations through scipy's
 validating wrappers (``cho_factor``, ``cho_solve``, ``solve_triangular``)
-instead of the LAPACK routines behind them, so the package must match them
-bit for bit.
+instead of the LAPACK routines behind them, and the L-BFGS-B reference is
+``scipy.optimize.minimize`` around the routine that ``gp.minimize`` calls
+directly, so the package must match them bit for bit.
 """
 
 import math
@@ -391,6 +392,12 @@ def profiled_loglik_reference(X, y, noise, process_variance, lengthscales, sq_di
     grad[0] = 0.5 * (float(np.sum(WK)) + jitter * float(np.trace(W)))
     grad[1:] = 0.5 * (sq_diffs.reshape(lengthscales.size, -1) @ WK.reshape(-1)) / lengthscales**2
     return value, grad
+
+
+def lbfgsb_reference(fun, x0, bounds):
+    """``moeeqi.gp.minimize`` through ``scipy.optimize.minimize``, with its
+    default L-BFGS-B settings and ``fun`` returning the value and gradient."""
+    return minimize(fun, x0, method="L-BFGS-B", jac=True, bounds=bounds)
 
 
 def emulator_projection_reference(dataset, params, control_bounds=None):

@@ -2,6 +2,7 @@
 variance bookkeeping."""
 
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -76,6 +77,23 @@ class TestQuantilePosterior:
             qp = quantile_posterior(m, s2, sig2, beta)
             assert abs(qp.sd**2 * (s2 + sig2) - s2**2) <= 1e-12 * s2**2
             assert qp.mean >= m - 1e-12
+
+    def test_variances_whose_sum_overflows_give_the_finite_sd(self):
+        # var + sigma2_new is past the float limit; sd = var / sqrt(var + sigma2_new)
+        # is sqrt(1e308 / 2) and the shift z times that, with no overflow warning
+        z = _ND.inv_cdf(0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, sd = quantile_posterior_arrays(np.array([1.0, 2.0, 0.0]),
+                                                 np.array([1e308, 1.0, np.inf]), 1e308, 0.7)
+            qp = quantile_posterior(1.0, 1e308, 1e308, 0.7)
+        expected_sd = math.sqrt(0.5e308)
+        assert sd[0] == pytest.approx(expected_sd, rel=1e-15)
+        assert mean[0] == pytest.approx(1.0 + z * expected_sd, rel=1e-14)
+        assert (qp.mean, qp.sd) == (mean[0], sd[0])
+        # the entries whose sum is finite are as before; an infinite var stays NaN
+        assert (mean[1], sd[1]) == quantile_posterior_arrays(2.0, 1.0, 1e308, 0.7)
+        assert math.isnan(mean[2]) and math.isnan(sd[2])
 
     def test_scalar_form_equals_array_form_elementwise(self):
         rng = np.random.default_rng(2)

@@ -2,7 +2,8 @@
 improvement criterion, the GP likelihood and posterior variance, replicate
 pooling, config parsing, document reading, the initial design and the pruned
 selection, checked on generated inputs against independent references;
-exact equality of the GP's direct LAPACK calls with scipy's wrapper forms;
+exact equality of the GP's direct LAPACK calls with scipy's wrapper forms
+and of its L-BFGS-B loop with scipy.optimize.minimize;
 and whole runs on small generated problems, scaled and degenerate."""
 
 import json
@@ -16,13 +17,15 @@ from hypothesis import strategies as st
 
 from _oracles import (brute_force_front, emulator_projection_reference, factor_gram_reference,
                       front_metrics_reference, improvement_terms_reference,
-                      initial_design_reference, moeeqi_scores_reference, posterior_reference, profiled_loglik_reference,
-                      random_front, score_bounds_reference, select_reference)
+                      initial_design_reference, lbfgsb_reference, moeeqi_scores_reference,
+                      posterior_reference, profiled_loglik_reference, random_front,
+                      score_bounds_reference, select_reference)
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
-from moeeqi.gp import (_JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError, KernelParams,
-                       NoisyObservation, _factor_gram, _kernel_matrix, _profiled_loglik, _sq_diffs,
-                       fit_hyperparameters, log_marginal_likelihood)
+from moeeqi.gp import (_FAILED_FIT, _JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError,
+                       KernelParams, NoisyObservation, _factor_gram, _kernel_matrix,
+                       _profiled_loglik, _sq_diffs, fit_hyperparameters, log_marginal_likelihood,
+                       minimize)
 from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics, run
 from moeeqi.pareto import (ConstraintSpec, FrontPoint, ImprovementMode, ParetoFront,
                            _improvement_terms, _score_bounds, build_front, moeeqi, moeeqi_scores)
@@ -209,6 +212,72 @@ def test_profiled_loglik_equals_the_cho_solve_reference(seed, dim, size, rung):
     want_value, want_grad = profiled_loglik_reference(*args)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
+
+
+def _fit_data(seed, size, dim, scale_exp, near_duplicate, noiseless, constant):
+    """``size`` observations in ``dim`` dimensions with responses scaled by
+    10**scale_exp; optionally the first two locations 1e-9 apart, no noise,
+    or a constant response."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(size, dim))
+    if near_duplicate:
+        X[1] = X[0] + 1e-9
+    y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(size)
+    if constant:
+        y[:] = 1.0
+    scale = 10.0**scale_exp
+    noise = np.zeros(size) if noiseless else scale**2 * rng.uniform(0.0, 0.05, size)
+    return GpDataset([NoisyObservation(X[j], scale * y[j], noise[j]) for j in range(size)])
+
+
+def _searches_against_scipy(ds):
+    """A cold and a warm fit of ``ds`` with every search of ``gp.minimize``
+    repeated by ``scipy.optimize.minimize``: asserts bit-identical ``x`` and ``fun`` and
+    equal ``nfev``, and returns per search whether scipy reported success
+    and whether an evaluation met an unfactorable covariance."""
+    searches = []
+
+    def compared(fun, x0, bounds):
+        values = []
+
+        def recording(x):
+            values.append(fun(x))
+            return values[-1]
+
+        got = minimize(recording, x0, bounds=bounds)
+        want = lbfgsb_reference(fun, x0, bounds)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+        assert got.nfev == want.nfev == len(values)
+        searches.append((bool(want.success), any(v == _FAILED_FIT for v, _ in values)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("moeeqi.gp.minimize", compared)
+        try:
+            cold = fit_hyperparameters(ds, rng=0)
+            fit_hyperparameters(ds, rng=1, warm_start=cold)
+        except GpFitError:
+            pass
+    return searches
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 3), st.integers(-8, 8),
+       st.booleans(), st.booleans(), st.booleans())
+def test_fit_searches_equal_scipy_minimize(seed, size, dim, scale_exp, near_duplicate,
+                                           noiseless, constant):
+    ds = _fit_data(seed, size, dim, scale_exp, near_duplicate, noiseless, constant)
+    assert len(_searches_against_scipy(ds)) in (5, 8)
+
+
+def test_minimize_identity_covers_a_failed_line_search_and_an_unfactorable_point():
+    # two noisy points 1e-9 apart in three dimensions: a search ends in an
+    # abnormal line search, after which setulb restores the last iterate, and
+    # an evaluation fails to factor the covariance and reports _FAILED_FIT
+    searches = _searches_against_scipy(_fit_data(143, 2, 3, 5, True, False, False))
+    assert any(not success for success, _ in searches)
+    assert any(failed for _, failed in searches)
 
 
 @settings(max_examples=200, deadline=None)
