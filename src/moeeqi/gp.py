@@ -294,7 +294,10 @@ def _profiled_loglik(X, y, noise, process_variance: float, lengthscales: np.ndar
     one_Cinv_y = float(Cinv_y.sum())
     y_Cinv_y = float(y @ Cinv_y)
     # (y - b0)' C^{-1} (y - b0) with b0 profiled out
-    quad = y_Cinv_y - one_Cinv_y**2 / denom
+    try:
+        quad = y_Cinv_y - one_Cinv_y**2 / denom
+    except OverflowError:
+        raise GpFitError("covariance matrix is too near singular: C^-1 y overflows") from None
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
     value = -0.5 * (quad + logdet + math.log(denom) + (S - 1) * _LOG_2PI)
 
@@ -319,17 +322,10 @@ def log_marginal_likelihood(dataset: GpDataset, params: KernelParams) -> float:
                             params.lengthscales, _sq_diffs(X))[0]
 
 
-def _default_bounds(X: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
+def _default_bounds(X: np.ndarray, vy: float) -> list[tuple[float, float]]:
     """Search box for (process_variance, lengthscale_1, ..., lengthscale_v),
-    around the response variance and the per-coordinate location ranges;
-    responses whose spread overflows a double have no such box."""
-    with np.errstate(over="ignore"):
-        vy = float(np.var(y))
-    if not math.isfinite(1e3 * vy):
-        raise GpFitError(f"response variance is not finite, or too large for the search box "
-                         f"({vy:g}); rescale the objective")
-    if vy <= 0.0:
-        vy = 1.0
+    around the response variance ``vy`` and the per-coordinate location
+    ranges."""
     bounds = [(1e-4 * vy, 1e3 * vy)]
     for k in range(X.shape[1]):
         span = float(np.ptp(X[:, k]))
@@ -349,10 +345,11 @@ def minimize(fun, x0, bounds) -> OptimizeResult:
     reverse-communication loop (Zhu, Byrd, Lu & Nocedal 1997, Algorithm
     778) exactly as ``scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
     jac=True, bounds=bounds)`` does, with its default settings, so that
-    ``x``, ``fun`` and ``nfev`` are bit-identical to it, without its
-    function wrappers and result objects: ``x0`` is clipped to the box and
-    evaluated first, a request at the point last evaluated reuses that
-    evaluation, and a search stops at the iteration or evaluation cap.
+    ``x`` and ``nfev`` are bit-identical to it, without its wrappers:
+    ``x0`` is clipped to the box and evaluated first, a request at the
+    point last evaluated reuses that evaluation, and a search stops at the
+    iteration or evaluation cap. ``fun`` is the value at ``x``; scipy's is
+    the last trial value after an abnormal line search restores ``x``.
     """
     low = np.array([b[0] for b in bounds], float)
     high = np.array([b[1] for b in bounds], float)
@@ -360,6 +357,7 @@ def minimize(fun, x0, bounds) -> OptimizeResult:
     n = x.size
     x_last = x.copy()
     f_last, g_last = fun(x_last)
+    f_x = f_last  # the value at the current iterate
     nfev = 1
     m = _LBFGSB_M
     nbd = np.full(n, 2, np.int32)  # every coordinate bounded below and above
@@ -386,6 +384,7 @@ def minimize(fun, x0, bounds) -> OptimizeResult:
                 nfev += 1
             f, g = f_last, g_last
         elif task[0] == 1:
+            f_x = f
             iterations += 1
             if iterations >= _LBFGSB_MAXITER:
                 task[:] = 5, 504  # stop: iteration cap
@@ -393,42 +392,42 @@ def minimize(fun, x0, bounds) -> OptimizeResult:
                 task[:] = 5, 502  # stop: evaluation cap
         else:
             break
-    return OptimizeResult(x=x, fun=f, nfev=nfev)
+    return OptimizeResult(x=x, fun=f if np.array_equal(x, x_last) else f_x, nfev=nfev)
 
 
-def fit_hyperparameters(
-    dataset: GpDataset,
-    rng=None,
-    warm_start: KernelParams | None = None,
-) -> KernelParams:
-    """Maximum-likelihood kernel hyperparameters via multi-start L-BFGS-B on
-    the analytic gradient of the profiled likelihood, in log space over the
-    box of ``_default_bounds``.
+def fit_hyperparameters(X, y, noise, rng=None, warm_start: KernelParams | None = None) -> KernelParams:
+    """Maximum-likelihood kernel hyperparameters for the (S, v) locations
+    ``X``, S >= 2, the responses ``y`` and their noise variances ``noise``,
+    which are held fixed, via multi-start L-BFGS-B on the analytic gradient
+    of the profiled likelihood, in log space over the box of
+    ``_default_bounds``.
+
+    The search sees ``y`` divided by 2**k and ``noise`` (and a warm start's
+    process variance) by 4**k, k half the binary exponent of var(y), or that
+    of max |y| when the variance is 0; the process variance found is
+    multiplied back by 4**k. Powers of two scale exactly, so responses 2**j
+    times larger give the same search and 4**j times the process variance.
 
     A cold fit searches from the box center and ``_COLD_STARTS - 1`` points
-    drawn from ``rng``; a warm fit from the warm start clipped to the box,
-    the center and ``_WARM_STARTS - 2`` draws.
-
-    Parameters
-    ----------
-    dataset : GpDataset
-        At least two observations; noise variances are held fixed.
-    rng : numpy Generator or int seed
-        Drives the start draws, making the fit reproducible.
-    warm_start : KernelParams, optional
-        Extra starting point, e.g. the previous iteration's estimate.
-
-    Returns
-    -------
-    KernelParams
-        The best parameters found across all starts.
+    drawn from ``rng`` (a Generator or int seed); a warm fit from
+    ``warm_start``, such as the previous estimate, clipped to the box, the
+    center and ``_WARM_STARTS - 2`` draws. Returns the best parameters
+    found across all starts.
     """
-    if len(dataset) < 2:
+    X, y, noise = (np.asarray(a, dtype=float) for a in (X, y, noise))
+    if y.size < 2:
         raise ValueError("hyperparameter estimation needs at least 2 observations")
     rng = np.random.default_rng(rng if rng is not None else 0)
-    X, y, noise = dataset.locations(), dataset.means(), dataset.variances()
+    with np.errstate(over="ignore"):
+        vy = float(np.var(y))
+    if not math.isfinite(1e3 * vy):
+        raise GpFitError(f"response variance is not finite, or too large for the search box "
+                         f"({vy:g}); rescale the objective")
+    k = math.frexp(vy)[1] // 2 if vy > 0.0 else math.frexp(float(np.max(np.abs(y))))[1]
+    y, noise = np.ldexp(y, -k), np.ldexp(noise, -2 * k)
     sq_diffs = _sq_diffs(X)
-    log_box = [(math.log(lo), math.log(hi)) for lo, hi in _default_bounds(X, y)]
+    box = _default_bounds(X, math.ldexp(vy, -2 * k) or 1.0)
+    log_box = [(math.log(lo), math.log(hi)) for lo, hi in box]
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         try:
@@ -441,7 +440,8 @@ def fit_hyperparameters(
 
     starts = []
     if warm_start is not None:
-        theta_w = np.log(np.r_[warm_start.process_variance, warm_start.lengthscales])
+        theta_w = np.log(np.r_[math.ldexp(warm_start.process_variance, -2 * k),
+                               warm_start.lengthscales])
         starts.append(np.clip(theta_w, [b[0] for b in log_box], [b[1] for b in log_box]))
     starts.append(np.array([0.5 * (lo + hi) for lo, hi in log_box]))
     for _ in range((_COLD_STARTS if warm_start is None else _WARM_STARTS) - len(starts)):
@@ -455,7 +455,7 @@ def fit_hyperparameters(
     if best_theta is None:
         raise GpFitError("no positive-definite covariance found at any restart; "
                          "check for near-duplicate locations")
-    return KernelParams(math.exp(best_theta[0]), np.exp(best_theta[1:]))
+    return KernelParams(math.ldexp(math.exp(best_theta[0]), 2 * k), np.exp(best_theta[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +519,8 @@ class GpEmulator:
     ) -> "GpEmulator":
         """Estimate hyperparameters on (scaled) inputs and build the emulator."""
         lb, span = _unit_box(control_bounds, dataset.dim)
-        scaled = GpDataset([NoisyObservation((o.location - lb) / span, o.mean, o.variance,
-                                             o.replications) for o in dataset])
-        params = fit_hyperparameters(scaled, rng=rng, warm_start=warm_start)
+        params = fit_hyperparameters((dataset.locations() - lb) / span, dataset.means(),
+                                     dataset.variances(), rng=rng, warm_start=warm_start)
         return cls(dataset, params, control_bounds=control_bounds)
 
     def scale(self, x: np.ndarray) -> np.ndarray:

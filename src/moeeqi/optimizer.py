@@ -206,46 +206,36 @@ def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: Impro
     A quantile that is not finite is a ValueError naming the objective.
     Returns (point, score, fallback).
 
-    One pass over ``_ROW_BLOCK`` candidates at a time writes the feasible
-    ones' quantile columns, grid rows and score bounds, packed, and keeps
-    the first maximum of the summed variance. Only candidates whose bound
-    reaches the best exact score among the ``_SEED_CANDIDATES`` largest
-    bounds are then scored. The bound holds for the computed scores,
-    rounding included, so the result equals the full argmax."""
+    One pass over ``_ROW_BLOCK`` candidates at a time writes every
+    candidate's quantile columns and score bound, -inf where the constraint
+    filter fails. Only candidates whose bound reaches the best exact score
+    among the ``_SEED_CANDIDATES`` largest finite bounds are then scored.
+    The bound holds for the computed scores, rounding included, so the
+    result equals the full argmax."""
     beta, sigma2_future = _criterion(state)
     posteriors = [em.posterior(grid, axes=axes) for em in state.emulators]
     n = len(grid)
-    cols, rows, bound = np.empty((4, n)), np.empty(n, dtype=np.intp), np.empty(n)
-    bad, kept, widest, fallback = np.zeros(2, dtype=int), 0, -math.inf, 0
+    cols, bound, bad = np.empty((4, n)), np.full(n, -math.inf), np.zeros(2, dtype=int)
     for lo in range(0, n, _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
-        spread = posteriors[0][1][block] + posteriors[1][1][block]
-        top = int(np.argmax(spread))
-        if spread[top] > widest:
-            widest, fallback = spread[top], lo + top
-        new = cols[:, kept:kept + spread.size]
-        bad += _quantiles(beta, sigma2_future, posteriors, block, new)
+        bad += _quantiles(beta, sigma2_future, posteriors, block, cols[:, block])
         if bad.any() or len(front) == 0:
             continue
-        keep = np.flatnonzero(feasible_mask(new[0::2].T, new[1::2].T, state.problem.constraints,
-                                            beta, state.config.literal_constraint_formula))
-        packed = slice(kept, kept + keep.size)
-        if keep.size < spread.size:
-            cols[:, packed] = new[:, keep]
-        rows[packed] = lo + keep
-        bound[packed] = _score_bounds(front, *cols[:, packed], mode)
-        kept += keep.size
+        feasible = feasible_mask(cols[0::2, block].T, cols[1::2, block].T,
+                                 state.problem.constraints, beta,
+                                 state.config.literal_constraint_formula)
+        bound[block] = np.where(feasible, _score_bounds(front, *cols[:, block], mode), -math.inf)
     _check_finite(bad, n)
-    if kept:
-        cols, bound = cols[:, :kept], bound[:kept]
-        lead = np.argpartition(bound, -min(_SEED_CANDIDATES, kept))[-_SEED_CANDIDATES:]
+    lead = np.argpartition(bound, -min(_SEED_CANDIDATES, n))[-_SEED_CANDIDATES:]
+    lead = lead[bound[lead] > -math.inf]
+    if lead.size:
         best = np.max(moeeqi_scores(front, *cols[:, lead], mode))
         live = np.flatnonzero(bound >= best)
         scores = moeeqi_scores(front, *cols[:, live], mode)
         top = int(np.argmax(scores))
         if scores[top] > 0.0:
-            return grid[rows[live[top]]], float(scores[top]), False
-    return grid[fallback], 0.0, True
+            return grid[live[top]], float(scores[top]), False
+    return grid[int(np.argmax(posteriors[0][1] + posteriors[1][1]))], 0.0, True
 
 
 def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode):

@@ -255,14 +255,15 @@ def random_front(rng, size, lo=-2.0, hi=2.0):
     return ParetoFront([FrontPoint(float(a), float(b)) for a, b in zip(q1, q2)])
 
 
-def nelder_mead_fit_reference(dataset, rng=None, warm_start=None):
+def nelder_mead_fit_reference(X, y, noise, rng=None, warm_start=None):
     """Derivative-free form of ``moeeqi.gp.fit_hyperparameters``: multi-start
-    Nelder-Mead on the profiled likelihood value alone, from the same start
-    points (box center and draws; a warm start clipped to the box first)."""
+    Nelder-Mead on the profiled likelihood value alone, in the responses'
+    own units, from the same kind of start points (box center and draws; a
+    warm start clipped to the box first)."""
     rng = np.random.default_rng(rng if rng is not None else 0)
-    X, y, noise = dataset.locations(), dataset.means(), dataset.variances()
     sq_diffs = _sq_diffs(X)
-    log_box = [(math.log(lo), math.log(hi)) for lo, hi in _default_bounds(X, y)]
+    box = _default_bounds(X, float(np.var(y)) or 1.0)
+    log_box = [(math.log(lo), math.log(hi)) for lo, hi in box]
 
     def objective(theta):
         try:

@@ -35,6 +35,11 @@ def _dataset(rng, size, dim, noise=(0.01, 0.5)):
     return GpDataset([NoisyObservation(X[j], y[j], v[j]) for j in range(size)])
 
 
+def _arrays(ds):
+    """The locations, means and noise variances of a dataset."""
+    return ds.locations(), ds.means(), ds.variances()
+
+
 def _dense_posterior(X, y, noise, params, xq):
     """From-scratch dense-solve evaluation of the posterior equations."""
     S, v = X.shape
@@ -376,7 +381,7 @@ class TestFit:
         K = _kernel_matrix(true.process_variance, true.lengthscales, X) + 1e-8 * np.eye(30)
         y = np.linalg.cholesky(K) @ rng.normal(size=30)
         ds = GpDataset([NoisyObservation(X[j], y[j], 1e-6) for j in range(30)])
-        fitted = fit_hyperparameters(ds, rng=0)
+        fitted = fit_hyperparameters(*_arrays(ds), rng=0)
         ls = float(fitted.lengthscales[0])
         assert 0.15 <= ls <= 0.6
         # the estimate cannot have lower likelihood than the truth
@@ -385,8 +390,8 @@ class TestFit:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)
         ds = _dataset(rng, 8, 2)
-        a = fit_hyperparameters(ds, rng=42)
-        b = fit_hyperparameters(ds, rng=42)
+        a = fit_hyperparameters(*_arrays(ds), rng=42)
+        b = fit_hyperparameters(*_arrays(ds), rng=42)
         assert a.process_variance == b.process_variance
         assert np.array_equal(a.lengthscales, b.lengthscales)
 
@@ -394,7 +399,7 @@ class TestFit:
         rng = np.random.default_rng(17)
         X = rng.uniform(size=(5, 2))
         ds = GpDataset([NoisyObservation(x, 2.0, 0.05) for x in X])
-        fitted = fit_hyperparameters(ds, rng=0)
+        fitted = fit_hyperparameters(*_arrays(ds), rng=0)
         assert np.isfinite(log_marginal_likelihood(ds, fitted))
 
     def test_cold_fit_searches_five_starts_and_warm_fit_three(self, monkeypatch):
@@ -407,23 +412,25 @@ class TestFit:
 
         monkeypatch.setattr(moeeqi.gp, "minimize", recording)
         ds = _dataset(np.random.default_rng(19), 6, 2)
-        cold = fit_hyperparameters(ds, rng=0)
+        cold = fit_hyperparameters(*_arrays(ds), rng=0)
         assert len(starts) == 5
         starts.clear()
         # process variance above the box, the first lengthscale below it
         warm = KernelParams(1e6 * cold.process_variance, [1e-6, cold.lengthscales[1]])
-        fit_hyperparameters(ds, rng=0, warm_start=warm)
+        fit_hyperparameters(*_arrays(ds), rng=0, warm_start=warm)
         assert len(starts) == 3
-        box = _default_bounds(ds.locations(), ds.means())
+        # the search sees the responses divided by 2**k, its variances by 4**k
+        k = math.frexp(np.var(ds.means()))[1] // 2
+        box = _default_bounds(ds.locations(), math.ldexp(np.var(ds.means()), -2 * k))
         log_box = np.array([[math.log(lo), math.log(hi)] for lo, hi in box])
-        theta_w = np.log(np.r_[warm.process_variance, warm.lengthscales])
+        theta_w = np.log(np.r_[math.ldexp(warm.process_variance, -2 * k), warm.lengthscales])
         assert np.array_equal(starts[0], np.clip(theta_w, log_box[:, 0], log_box[:, 1]))
         assert starts[0][0] == log_box[0, 1] and starts[0][1] == log_box[1, 0]
 
     def test_requires_two_observations(self):
         ds = GpDataset([NoisyObservation([0.0], 1.0, 0.1)])
         with pytest.raises(ValueError):
-            fit_hyperparameters(ds, rng=0)
+            fit_hyperparameters(*_arrays(ds), rng=0)
 
 
 class TestFitFailures:
@@ -432,7 +439,7 @@ class TestFitFailures:
     @staticmethod
     def _finite_or_fit_error(ds):
         try:
-            fitted = fit_hyperparameters(ds, rng=0)
+            fitted = fit_hyperparameters(*_arrays(ds), rng=0)
         except GpFitError:
             return
         assert math.isfinite(fitted.process_variance)
@@ -451,7 +458,18 @@ class TestFitFailures:
         ds = GpDataset([NoisyObservation([x], m, 0.0)
                         for x, m in [(0.1, 1e200), (0.5, -1e200), (0.9, 1e200)]])
         with pytest.raises(GpFitError, match="response variance is not finite"):
-            fit_hyperparameters(ds, rng=0)
+            fit_hyperparameters(*_arrays(ds), rng=0)
+
+    def test_likelihood_whose_inverse_overflows_is_a_fit_error(self):
+        # two noiseless points 1e-9 apart: C factors, but C^-1 y overflows
+        X = np.random.default_rng(48396).uniform(0.0, 1.0, size=(2, 3))
+        X[1] = X[0] + 1e-9
+        ds = GpDataset([NoisyObservation(x, 1.0, 0.0) for x in X])
+        params = KernelParams(49.305080738533725, [5.477472097082005e-09, 6.62705546797482e-10,
+                                                   1.5468975207820135e-09])
+        with pytest.raises(GpFitError, match="C\\^-1 y overflows"):
+            log_marginal_likelihood(ds, params)
+        self._finite_or_fit_error(ds)
 
     def test_unfactorable_region_is_avoided(self, monkeypatch):
         # Every covariance with process variance above the response variance
@@ -466,7 +484,7 @@ class TestFitFailures:
             return factor(K, noise, process_variance)
 
         monkeypatch.setattr(moeeqi.gp, "_factor_gram", failing_above_cap)
-        fitted = fit_hyperparameters(ds, rng=0)
+        fitted = fit_hyperparameters(*_arrays(ds), rng=0)
         assert fitted.process_variance <= cap
         assert np.all(np.isfinite(fitted.lengthscales))
 
@@ -476,7 +494,7 @@ class TestFitFailures:
 
         monkeypatch.setattr(moeeqi.gp, "_factor_gram", failing)
         with pytest.raises(GpFitError):
-            fit_hyperparameters(_dataset(np.random.default_rng(21), 5, 1), rng=0)
+            fit_hyperparameters(*_arrays(_dataset(np.random.default_rng(21), 5, 1)), rng=0)
 
 
 @pytest.mark.parametrize("seed, dim, constant_col", [(0, 1, None), (1, 2, None), (2, 3, None),
@@ -511,9 +529,9 @@ def test_fit_likelihood_no_worse_than_nelder_mead(monkeypatch, overrides):
     recorded = []
     fit = moeeqi.gp.fit_hyperparameters
 
-    def recording(dataset, rng=None, warm_start=None):
-        params = fit(dataset, rng=rng, warm_start=warm_start)
-        recorded.append((dataset, rng, warm_start, params))
+    def recording(X, y, noise, rng=None, warm_start=None):
+        params = fit(X, y, noise, rng=rng, warm_start=warm_start)
+        recorded.append((X, y, noise, rng, warm_start, params))
         return params
 
     monkeypatch.setattr(moeeqi.gp, "fit_hyperparameters", recording)
@@ -521,8 +539,9 @@ def test_fit_likelihood_no_worse_than_nelder_mead(monkeypatch, overrides):
                        **overrides)
     run(toy_problem(0.5), config)
     assert len(recorded) == 10
-    for dataset, rng, warm_start, params in recorded:
-        reference = nelder_mead_fit_reference(dataset, rng=rng, warm_start=warm_start)
+    for X, y, noise, rng, warm_start, params in recorded:
+        reference = nelder_mead_fit_reference(X, y, noise, rng=rng, warm_start=warm_start)
+        dataset = GpDataset([NoisyObservation(*obs) for obs in zip(X, y, noise)])
         assert (log_marginal_likelihood(dataset, params)
                 >= log_marginal_likelihood(dataset, reference) - 1e-6)
 
