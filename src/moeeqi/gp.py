@@ -9,15 +9,17 @@ package (cdf, pdf, quantile) live here as well.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.optimize import OptimizeResult
-from scipy.optimize._lbfgsb import setulb
+import scipy
 from scipy.special import erfc, ndtri
 
 __all__ = [
@@ -33,11 +35,37 @@ __all__ = [
     "std_normal_quantile",
 ]
 
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``scipy.<name>``, e.g. ``"optimize._lbfgsb"``,
+    loaded from its file without importing the package around it: the
+    ``scipy.optimize`` and ``scipy.linalg`` packages hold hundreds of modules
+    that this package never calls. The module is registered in
+    ``sys.modules`` under its full name, so that a later import of its
+    package reuses it, and one already there is returned as it is."""
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    base = os.path.join(scipy.__path__[0], *name.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location(full, base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[full] = module
+            return module
+    raise ImportError(f"scipy {scipy.__version__} has no compiled module {full}", name=full)
+
+
 # The double-precision LAPACK routines that scipy's cho_factor, cho_solve and
-# solve_triangular end in, called with the same flags but without the
-# wrappers' per-call validation, which at a few dozen observations costs more
-# than the factorization itself; the results are bit-identical.
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+# solve_triangular end in, taken from scipy's compiled LAPACK module (the
+# objects that scipy.linalg.get_lapack_funcs returns for float64) and called
+# with the same flags but without the wrappers' per-call validation, which at
+# a few dozen observations costs more than the factorization itself; the
+# results are bit-identical.
+_flapack = _scipy_extension("linalg._flapack")
+_potrf, _potrs, _trtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+_setulb = _scipy_extension("optimize._lbfgsb").setulb
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -96,7 +124,7 @@ def std_normal_pdf(z):
 def std_normal_quantile(p):
     """Inverse of the standard normal cdf for p in (0, 1)."""
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN too
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     return ndtri(p)
 
@@ -335,10 +363,19 @@ def _default_bounds(X: np.ndarray, vy: float) -> list[tuple[float, float]]:
     return bounds
 
 
-def minimize(fun, x0, bounds) -> OptimizeResult:
+class MinimizeResult(NamedTuple):
+    """The end of one ``minimize`` search: the point, the value there and
+    the number of calls of the objective."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun, x0, bounds) -> MinimizeResult:
     """Minimize ``fun`` over the box ``bounds``, a (low, high) pair per
     coordinate, by L-BFGS-B from ``x0``; ``fun(x)`` returns the value and
-    its gradient. Returns an ``OptimizeResult`` with ``x``, ``fun`` and
+    its gradient. Returns a ``MinimizeResult`` with ``x``, ``fun`` and
     ``nfev``, the number of calls of ``fun``.
 
     Runs scipy's L-BFGS-B routine ``setulb`` through its
@@ -373,8 +410,8 @@ def minimize(fun, x0, bounds) -> OptimizeResult:
     iterations = 0
     while True:
         g = g.astype(np.float64)  # setulb may write to g: never hand it fun's array
-        setulb(m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
-               lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        _setulb(m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
+                lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         # task[0]: 3 asks for the value and gradient at x, 1 reports a new
         # iterate, 4 convergence and 5 a stop; task[1] gives the reason
         if task[0] == 3:
@@ -392,7 +429,7 @@ def minimize(fun, x0, bounds) -> OptimizeResult:
                 task[:] = 5, 502  # stop: evaluation cap
         else:
             break
-    return OptimizeResult(x=x, fun=f if np.array_equal(x, x_last) else f_x, nfev=nfev)
+    return MinimizeResult(x, f if np.array_equal(x, x_last) else f_x, nfev)
 
 
 def fit_hyperparameters(X, y, noise, rng=None, warm_start: KernelParams | None = None) -> KernelParams:

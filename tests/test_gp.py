@@ -1,6 +1,10 @@
 """Tests for the stochastic-kriging emulator and standard-normal utilities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -20,7 +24,9 @@ from moeeqi.gp import (
 )
 import moeeqi.gp
 from moeeqi import RunConfig, run
-from moeeqi.gp import _default_bounds, _factor_gram, _kernel_matrix, _profiled_loglik, _sq_diffs
+from moeeqi.gp import (_default_bounds, _factor_gram, _kernel_matrix, _profiled_loglik,
+                       _scipy_extension, _sq_diffs)
+from moeeqi.pareto import ConstraintSpec, feasible_mask
 from moeeqi.problems import toy_problem
 
 from _oracles import kernel_eval, nelder_mead_fit_reference
@@ -80,8 +86,69 @@ def test_normal_quantile_rejects_boundary():
             std_normal_quantile(p)
 
 
+def test_normal_quantile_rejects_nan():
+    # NaN fails every comparison, so only a check that p lies inside catches it
+    for p in (math.nan, [0.3, math.nan, 0.7]):
+        with pytest.raises(ValueError):
+            std_normal_quantile(p)
+    q, sd = np.array([[0.5, 0.5], [3.0, 0.5]]), np.zeros((2, 2))
+    with pytest.raises(ValueError):
+        feasible_mask(q, sd, ConstraintSpec((1.0, None)), beta=math.nan)
+
+
 def test_normal_pdf_peak():
     assert abs(float(std_normal_pdf(0.0)) - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The compiled scipy modules
+# ---------------------------------------------------------------------------
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that finds
+    this package's source first."""
+    src = str(Path(moeeqi.gp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_imports_only_the_two_compiled_scipy_modules():
+    loaded = _fresh_python(
+        "import sys, moeeqi.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))))")
+    assert loaded.strip() == "['scipy.linalg._flapack', 'scipy.optimize._lbfgsb']"
+
+
+_FITS = """
+import numpy as np
+from moeeqi.gp import fit_hyperparameters
+rng = np.random.default_rng(23)
+X, y, noise = rng.uniform(size=(9, 2)), rng.normal(size=9), rng.uniform(0.01, 0.2, size=9)
+cold = fit_hyperparameters(X, y, noise, rng=0)
+warm = fit_hyperparameters(X, y + 0.1, noise, rng=1, warm_start=cold)
+for p in (cold, warm):
+    print(p.process_variance.hex(), [float(v).hex() for v in p.lengthscales])
+"""
+
+
+def test_fits_do_not_depend_on_whether_scipy_packages_load_first():
+    moeeqi_first = _fresh_python(_FITS + "import scipy.optimize, scipy.linalg\n")
+    scipy_first = _fresh_python(
+        "import scipy.optimize, scipy.linalg\n" + _FITS
+        + "import sys, moeeqi.gp\n"
+        "print(moeeqi.gp._flapack is sys.modules['scipy.linalg._flapack'])\n")
+    assert len(moeeqi_first.splitlines()) == 2
+    assert scipy_first == moeeqi_first + "True\n"
+
+
+def test_scipy_extension_reuses_a_loaded_module_and_names_a_missing_one():
+    assert _scipy_extension("optimize._lbfgsb") is sys.modules["scipy.optimize._lbfgsb"]
+    with pytest.raises(ImportError, match=r"scipy [\d.]+\S* has no compiled module "
+                                          r"scipy\.optimize\._no_such_module"):
+        _scipy_extension("optimize._no_such_module")
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +540,27 @@ class TestFitFailures:
 
     def test_unfactorable_region_is_avoided(self, monkeypatch):
         # Every covariance with process variance above the response variance
-        # fails to factor; the fit must settle below it.
+        # fails to factor; the fit must settle below it. The responses are
+        # scaled by 2**10, so the search sees them divided by 2**k, k != 0,
+        # and _factor_gram sees the process variance divided by 4**k.
         factor = moeeqi.gp._factor_gram
-        ds = _dataset(np.random.default_rng(20), 8, 2)
-        cap = float(np.var(ds.means()))
+        X, y, noise = _arrays(_dataset(np.random.default_rng(20), 8, 2))
+        y, noise = np.ldexp(y, 10), np.ldexp(noise, 20)
+        k = math.frexp(np.var(y))[1] // 2
+        assert k != 0
+        cap = math.ldexp(np.var(y), -2 * k)  # in the units _factor_gram sees
+        forced = []
 
         def failing_above_cap(K, noise, process_variance):
             if process_variance > cap:
+                forced.append(process_variance)
                 raise GpFitError("forced")
             return factor(K, noise, process_variance)
 
         monkeypatch.setattr(moeeqi.gp, "_factor_gram", failing_above_cap)
-        fitted = fit_hyperparameters(*_arrays(ds), rng=0)
-        assert fitted.process_variance <= cap
+        fitted = fit_hyperparameters(X, y, noise, rng=0)
+        assert forced
+        assert fitted.process_variance <= cap * 4**k
         assert np.all(np.isfinite(fitted.lengthscales))
 
     def test_no_factorable_start_raises(self, monkeypatch):

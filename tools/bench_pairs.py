@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating pairs: a git revision against the working tree.
 
-usage: python3 tools/bench_pairs.py REV WORKLOAD PAIRS [--seed S] [--seconds T]
+usage: python3 tools/bench_pairs.py REV WORKLOAD[,WORKLOAD...] PAIRS [--seed S] [--seconds T]
 
 Extracts REV (the parent, say HEAD or a commit) with ``git archive`` into a
-temporary directory, which is removed afterwards. Each pair runs
-``perfbench/run.py --workload WORKLOAD --trace 0`` once from that tree and
-once from the working tree, each in a fresh process; odd pairs run the parent first
-and even pairs run the change first, so that a drift of the host over the
-session falls on both sides. Then, for every metric both sides report, it
-prints the parent's and the change's median, the parent's interquartile
-range, the median change relative to the parent, and in how many pairs the
-change's value is lower. Exits 1 if any run fails or reports an incorrect
-result. Standard library only.
+temporary directory once, which is removed afterwards. Then, for each
+workload in turn, each pair runs ``perfbench/run.py --workload WORKLOAD
+--trace 0`` once from that tree and once from the working tree, each in a
+fresh process; odd pairs run the parent first and even pairs run the change
+first, so that a drift of the host over the session falls on both sides.
+After a workload's pairs, for every metric both sides report, it prints the
+parent's and the change's median, the parent's interquartile range, the
+median change relative to the parent, and in how many pairs the change's
+value is lower, then one JSON line with every run's values. Exits 1 if any
+run fails or reports an incorrect result. Standard library only.
 """
 
 from __future__ import annotations
@@ -62,43 +63,56 @@ def summarize(parent: list, change: list) -> list:
     return rows
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("rev", help="git revision of the parent, e.g. HEAD")
-    parser.add_argument("workload", help="a perfbench workload, e.g. dense_select")
-    parser.add_argument("pairs", type=int, help="number of alternating pairs")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=50.0)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("PAIRS must be at least 1")
-
+def compare(trees: dict, workload: str, args) -> int:
+    """Run ``args.pairs`` alternating pairs of ``workload`` and print their
+    table and JSON line; 1 when a run fails, else 0."""
     parent, change = [], []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": Path(tmp), "change": ROOT}
-        for pair in range(1, args.pairs + 1):
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
-            got = {side: run_bench(trees[side], args.workload, args.seed, args.seconds)
-                   for side in order}
-            if None in got.values():
-                print(f"pair {pair}: a run failed", file=sys.stderr)
-                return 1
-            parent.append(got["parent"])
-            change.append(got["change"])
-            print(f"pair {pair} ({order[0]} first) done", file=sys.stderr)
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        got = {side: run_bench(trees[side], workload, args.seed, args.seconds)
+               for side in order}
+        if None in got.values():
+            print(f"{workload} pair {pair}: a run failed", file=sys.stderr)
+            return 1
+        parent.append(got["parent"])
+        change.append(got["change"])
+        print(f"{workload} pair {pair} ({order[0]} first) done", file=sys.stderr)
 
-    print(f"{args.workload}: {args.rev} (parent) vs working tree (change), {args.pairs} pairs, "
+    print(f"{workload}: {args.rev} (parent) vs working tree (change), {args.pairs} pairs, "
           f"seed {args.seed}, {args.seconds:g} s")
     print(f"  {'metric':32s} {'parent p50':>12s} {'change p50':>12s} {'parent IQR':>12s} "
           f"{'change':>8s} {'lower':>7s}")
     for name, med_a, med_b, iqr, rel, lower in summarize(parent, change):
         print(f"  {name:32s} {med_a:12.6g} {med_b:12.6g} {iqr:12.6g} {rel:+8.1%} "
               f"{lower:3d}/{args.pairs}")
-    print(json.dumps({"rev": args.rev, "workload": args.workload, "parent": parent,
-                      "change": change}))
+    print(json.dumps({"rev": args.rev, "workload": workload, "parent": parent,
+                      "change": change}), flush=True)
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision of the parent, e.g. HEAD")
+    parser.add_argument("workload", help="perfbench workloads, comma-separated, "
+                                         "e.g. dense_select,study")
+    parser.add_argument("pairs", type=int, help="number of alternating pairs per workload")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=50.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("PAIRS must be at least 1")
+    workloads = args.workload.split(",")
+    if not all(workloads):
+        parser.error("WORKLOAD names an empty workload")
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        trees = {"parent": Path(tmp), "change": ROOT}
+        for workload in workloads:
+            if compare(trees, workload, args):
+                return 1
     return 0
 
 
