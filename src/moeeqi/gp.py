@@ -256,19 +256,19 @@ class GpDataset:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_matrix(process_variance: float, lengthscales: np.ndarray, X: np.ndarray,
-                   Y: np.ndarray | None = None) -> np.ndarray:
-    """Squared-exponential covariances between the rows of X and of Y (or X):
-    process_variance * exp(-sum_k (x_k - y_k)^2 / (2 l_k^2))."""
-    Xs = X / lengthscales
-    Ys = Xs if Y is None else Y / lengthscales
-    sq = (
-        np.sum(Xs * Xs, axis=1)[:, None]
-        + np.sum(Ys * Ys, axis=1)[None, :]
-        - 2.0 * Xs @ Ys.T
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return process_variance * np.exp(-0.5 * sq)
+def _sq_diffs(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Squared coordinate differences D[k, i, j] = (X[i, k] - Y[j, k])^2
+    between the rows of X and of Y (or X)."""
+    diff = X.T[:, :, None] - (X if Y is None else Y).T[:, None, :]
+    return diff * diff
+
+
+def _kernel(process_variance: float, lengthscales: np.ndarray, sq_diffs: np.ndarray) -> np.ndarray:
+    """Squared-exponential covariances process_variance * exp(-sum_k D_k /
+    (2 l_k^2)) from the squared differences D of ``_sq_diffs``; exact
+    differences, so a point's covariance with itself is process_variance."""
+    sq = (-0.5 / lengthscales**2) @ sq_diffs.reshape(lengthscales.size, -1)
+    return process_variance * np.exp(sq).reshape(sq_diffs.shape[1:])
 
 
 def _factor_gram(K: np.ndarray, noise: np.ndarray, process_variance: float):
@@ -294,23 +294,18 @@ def _factor_gram(K: np.ndarray, noise: np.ndarray, process_variance: float):
 # ---------------------------------------------------------------------------
 
 
-def _sq_diffs(X: np.ndarray) -> np.ndarray:
-    """Squared coordinate differences D[k, i, j] = (X[i, k] - X[j, k])^2."""
-    diff = X.T[:, :, None] - X.T[:, None, :]
-    return diff * diff
-
-
-def _profiled_loglik(X, y, noise, process_variance: float, lengthscales: np.ndarray,
+def _profiled_loglik(y, noise, process_variance: float, lengthscales: np.ndarray,
                      sq_diffs: np.ndarray) -> tuple[float, np.ndarray]:
     """Profiled log-likelihood and its gradient in (log process_variance,
-    log lengthscales); ``sq_diffs`` is ``_sq_diffs(X)``.
+    log lengthscales); ``sq_diffs`` is ``_sq_diffs(X)`` of the locations X,
+    from which the Gram matrix K and its derivatives are both built.
 
     With u = C^-1 1, a = C^-1 (y - b0 1) and W = a a' - C^-1 + u u' / (1'u),
     dL/dtheta = sum(W * dC/dtheta) / 2, where dC/dlog l_k = K * D_k / l_k^2
     and dC/dlog process_variance = K plus the jitter, which scales with it.
     """
     S = y.size
-    K = _kernel_matrix(process_variance, lengthscales, X)
+    K = _kernel(process_variance, lengthscales, sq_diffs)
     L, jitter = _factor_gram(K, noise, process_variance)
     rhs = np.empty((S, 2))
     rhs[:, 0] = 1.0
@@ -345,9 +340,8 @@ def log_marginal_likelihood(dataset: GpDataset, params: KernelParams) -> float:
     flat prior; the noise diagonal is taken from the dataset."""
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
-    X = dataset.locations()
-    return _profiled_loglik(X, dataset.means(), dataset.variances(), params.process_variance,
-                            params.lengthscales, _sq_diffs(X))[0]
+    return _profiled_loglik(dataset.means(), dataset.variances(), params.process_variance,
+                            params.lengthscales, _sq_diffs(dataset.locations()))[0]
 
 
 def _default_bounds(X: np.ndarray, vy: float) -> list[tuple[float, float]]:
@@ -437,7 +431,9 @@ def fit_hyperparameters(X, y, noise, rng=None, warm_start: KernelParams | None =
     ``X``, S >= 2, the responses ``y`` and their noise variances ``noise``,
     which are held fixed, via multi-start L-BFGS-B on the analytic gradient
     of the profiled likelihood, in log space over the box of
-    ``_default_bounds``.
+    ``_default_bounds``. All three must be finite, ``y`` and ``noise`` of
+    shape (S,) and ``noise`` non-negative; otherwise a ValueError names the
+    argument.
 
     The search sees ``y`` divided by 2**k and ``noise`` (and a warm start's
     process variance) by 4**k, k half the binary exponent of var(y), or that
@@ -452,6 +448,16 @@ def fit_hyperparameters(X, y, noise, rng=None, warm_start: KernelParams | None =
     found across all starts.
     """
     X, y, noise = (np.asarray(a, dtype=float) for a in (X, y, noise))
+    if X.ndim != 2:
+        raise ValueError(f"X must be an (S, v) array of locations, got shape {X.shape}")
+    for name, a in (("y", y), ("noise", noise)):
+        if a.shape != X.shape[:1]:
+            raise ValueError(f"{name} must have shape ({X.shape[0]},) to match X, got {a.shape}")
+    for name, a in (("X", X), ("y", y), ("noise", noise)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+    if np.any(noise < 0.0):
+        raise ValueError("noise variances must be non-negative")
     if y.size < 2:
         raise ValueError("hyperparameter estimation needs at least 2 observations")
     rng = np.random.default_rng(rng if rng is not None else 0)
@@ -468,7 +474,7 @@ def fit_hyperparameters(X, y, noise, rng=None, warm_start: KernelParams | None =
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            value, grad = _profiled_loglik(X, y, noise, math.exp(theta[0]), np.exp(theta[1:]),
+            value, grad = _profiled_loglik(y, noise, math.exp(theta[0]), np.exp(theta[1:]),
                                            sq_diffs)
         except GpFitError:
             # finite and flat, so that the line search backs off from here
@@ -533,9 +539,8 @@ class GpEmulator:
         self._lb, self._span = _unit_box(control_bounds, dataset.dim)
         X = self.scale(dataset.locations())
         y = dataset.means()
-        L, self.jitter_used = _factor_gram(
-            _kernel_matrix(params.process_variance, params.lengthscales, X), dataset.variances(),
-            params.process_variance)
+        K = _kernel(params.process_variance, params.lengthscales, _sq_diffs(X))
+        L, self.jitter_used = _factor_gram(K, dataset.variances(), params.process_variance)
         ones = np.ones(len(dataset))
         Cinv_one = _potrs(L, ones, lower=1)[0]
         self._one_Cinv_one = float(ones @ Cinv_one)
@@ -570,10 +575,11 @@ class GpEmulator:
         The variance is the three-term stochastic-kriging form: prior
         variance, minus the data reduction, plus the inflation from
         estimating the constant trend. Accepts a single point (shape (v,))
-        or a stack of points (shape (n, v)); returns floats or arrays
-        accordingly. Round-off is clamped so variances are never negative.
-        A stack is evaluated a block of rows at a time: one kernel block and
-        one product with the cached projection each.
+        or a stack of points (shape (n, v)), v the dimension of the data (a
+        ValueError otherwise); returns floats or arrays accordingly.
+        Round-off is clamped so variances are never negative. A stack is
+        evaluated a block of rows at a time: one kernel block and one
+        product with the cached projection each.
 
         ``axes``, when given, are the per-coordinate values whose
         lexicographic product (first coordinate slowest) is the stack ``x``,
@@ -584,6 +590,9 @@ class GpEmulator:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         Xq = np.atleast_2d(x)
+        if Xq.shape[-1] != self._X.shape[1]:
+            raise ValueError(f"points of {Xq.shape[-1]} coordinates given to an emulator "
+                             f"of {self._X.shape[1]}")
         blocks = self._point_blocks(Xq) if axes is None else self._lattice_blocks(Xq, axes)
         mean = np.empty(Xq.shape[0])
         var = np.empty(Xq.shape[0])
@@ -605,8 +614,8 @@ class GpEmulator:
         Xq = self.scale(x)
         for lo in range(0, Xq.shape[0], _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            yield rows, _kernel_matrix(self.params.process_variance, self.params.lengthscales,
-                                       Xq[rows], self._X) @ self._proj
+            yield rows, _kernel(self.params.process_variance, self.params.lengthscales,
+                                _sq_diffs(Xq[rows], self._X)) @ self._proj
 
     def _lattice_blocks(self, x: np.ndarray, axes):
         """(rows, k @ proj) pairs for the stack ``x`` that is the
@@ -615,7 +624,8 @@ class GpEmulator:
         and tail row t.
 
         The kernel is a product over coordinates, so with the per-axis
-        tables E_k[i, s] = exp(-(g_ik - x_sk)^2 / 2 l_k^2) every kernel row
+        tables E_k[i, s] = exp(-(g_ik - x_sk)^2 / 2 l_k^2), ``_kernel`` of
+        unit process variance on axis k alone, every kernel row
         is a product of one row of each table: v r S exponentials instead of
         r^v S. The first axis makes the lead table and the others the tail
         table; when the others hold one point (one axis, or the rest
@@ -635,9 +645,9 @@ class GpEmulator:
         S = self._X.shape[0]
         tables = []
         for k, a in enumerate(axes):
-            d = ((a - self._lb[k]) / self._span[k])[:, None] - self._X[:, k]
-            d /= self.params.lengthscales[k]
-            tables.append(np.exp(-0.5 * d * d))  # (r_k, S)
+            g = ((a - self._lb[k]) / self._span[k])[:, None]
+            tables.append(_kernel(1.0, self.params.lengthscales[k:k + 1],
+                                  _sq_diffs(g, self._X[:, k:k + 1])))  # (r_k, S)
         lead = tables.pop(0) if math.prod(sizes[1:]) > 1 else np.ones((1, S))
         tail = np.ones((1, S))
         for table in reversed(tables):

@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 
 from moeeqi.acquisition import quantile_posterior_arrays
 from moeeqi.gp import (_COLD_STARTS, _JITTER_STEPS, _LOG_2PI, _WARM_STARTS, GpFitError,
-                       KernelParams, _default_bounds, _factor_gram, _kernel_matrix,
+                       KernelParams, _default_bounds, _factor_gram, _kernel,
                        _profiled_loglik, _sq_diffs, _unit_box, std_normal_cdf, std_normal_pdf)
 from moeeqi.optimizer import _criterion
 from moeeqi.pareto import (_ROUNDING, FrontPoint, ImprovementMode, ParetoFront, feasible_mask,
@@ -267,7 +267,7 @@ def nelder_mead_fit_reference(X, y, noise, rng=None, warm_start=None):
 
     def objective(theta):
         try:
-            return -_profiled_loglik(X, y, noise, math.exp(theta[0]), np.exp(theta[1:]), sq_diffs)[0]
+            return -_profiled_loglik(y, noise, math.exp(theta[0]), np.exp(theta[1:]), sq_diffs)[0]
         except GpFitError:
             return np.inf
 
@@ -297,7 +297,7 @@ def posterior_reference(dataset, params, x, control_bounds=None):
     lb, span = _unit_box(control_bounds, dataset.dim)
     X = (dataset.locations() - lb) / span
     y = dataset.means()
-    K = _kernel_matrix(params.process_variance, params.lengthscales, X)
+    K = _kernel(params.process_variance, params.lengthscales, _sq_diffs(X))
     cho = (_factor_gram(K, dataset.variances(), params.process_variance)[0], True)
     ones = np.ones(len(dataset))
     Cinv_one = cho_solve(cho, ones, check_finite=False)
@@ -305,7 +305,7 @@ def posterior_reference(dataset, params, x, control_bounds=None):
     beta0 = float(Cinv_one @ y) / one_Cinv_one
     alpha = cho_solve(cho, y - beta0, check_finite=False)
     Xq = (np.atleast_2d(np.asarray(x, dtype=float)) - lb) / span
-    k = _kernel_matrix(params.process_variance, params.lengthscales, Xq, X)  # (n, S)
+    k = _kernel(params.process_variance, params.lengthscales, _sq_diffs(Xq, X))  # (n, S)
     mean = beta0 + k @ alpha
     Cinv_k = cho_solve(cho, k.T, check_finite=False)  # (S, n)
     quad = np.einsum("ij,ji->i", k, Cinv_k)
@@ -368,11 +368,11 @@ def factor_gram_reference(K, noise, process_variance):
     raise GpFitError("covariance matrix is not positive definite even with maximal jitter")
 
 
-def profiled_loglik_reference(X, y, noise, process_variance, lengthscales, sq_diffs):
+def profiled_loglik_reference(y, noise, process_variance, lengthscales, sq_diffs):
     """``moeeqi.gp._profiled_loglik`` through ``cho_solve``, with the
     arithmetic in the same order."""
     S = y.size
-    K = _kernel_matrix(process_variance, lengthscales, X)
+    K = _kernel(process_variance, lengthscales, sq_diffs)
     cho, jitter = factor_gram_reference(K, noise, process_variance)
     rhs = np.empty((S, 2))
     rhs[:, 0] = 1.0
@@ -407,7 +407,7 @@ def emulator_projection_reference(dataset, params, control_bounds=None):
     lb, span = _unit_box(control_bounds, dataset.dim)
     X = (dataset.locations() - lb) / span
     y = dataset.means()
-    K = _kernel_matrix(params.process_variance, params.lengthscales, X)
+    K = _kernel(params.process_variance, params.lengthscales, _sq_diffs(X))
     cho, jitter = factor_gram_reference(K, dataset.variances(), params.process_variance)
     ones = np.ones(len(dataset))
     Cinv_one = cho_solve(cho, ones, check_finite=False)

@@ -24,7 +24,7 @@ from moeeqi.gp import (
 )
 import moeeqi.gp
 from moeeqi import RunConfig, run
-from moeeqi.gp import (_default_bounds, _factor_gram, _kernel_matrix, _profiled_loglik,
+from moeeqi.gp import (_default_bounds, _factor_gram, _kernel, _profiled_loglik,
                        _scipy_extension, _sq_diffs)
 from moeeqi.pareto import ConstraintSpec, feasible_mask
 from moeeqi.problems import toy_problem
@@ -157,17 +157,19 @@ def test_scipy_extension_reuses_a_loaded_module_and_names_a_missing_one():
 
 
 class TestKernelEval:
-    """``_kernel_matrix`` entrywise against the one-pair reference ``kernel_eval``."""
+    """``_kernel`` entrywise against the one-pair reference ``kernel_eval``."""
 
     def test_zero_distance_gives_process_variance(self):
         params = KernelParams(1.0, [1.0, 1.0])
-        assert _kernel_matrix(params.process_variance, params.lengthscales, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == 1.0
+        zero = np.zeros((1, 2))
+        K = _kernel(params.process_variance, params.lengthscales, _sq_diffs(zero, zero))
+        assert K[0, 0] == 1.0
         assert kernel_eval(params, [0.0, 0.0], [0.0, 0.0]) == 1.0
 
     def test_analytic_value(self):
         params = KernelParams(2.0, [1.0, 1.0])
         pv, ls = params.process_variance, params.lengthscales
-        val = _kernel_matrix(pv, ls, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))[0, 0]
+        val = _kernel(pv, ls, _sq_diffs(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])))[0, 0]
         assert abs(val - 2.0 * math.exp(-0.5)) < 1e-12
         assert abs(kernel_eval(params, [0.0, 0.0], [1.0, 0.0]) - 2.0 * math.exp(-0.5)) < 1e-12
 
@@ -178,7 +180,7 @@ class TestKernelEval:
             params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=v))
             X, Y = rng.normal(size=(4, v)), rng.normal(size=(3, v))
             pv, ls = params.process_variance, params.lengthscales
-            K = _kernel_matrix(pv, ls, X, Y)
+            K = _kernel(pv, ls, _sq_diffs(X, Y))
             assert K.shape == (4, 3)
             for i, x in enumerate(X):
                 for j, y in enumerate(Y):
@@ -188,7 +190,19 @@ class TestKernelEval:
                     assert abs(kernel_eval(params, x, y) - expected) < 1e-12
                     assert kernel_eval(params, x, y) == kernel_eval(params, y, x)
                     assert abs(K[i, j] - kernel_eval(params, x, y)) < 1e-12
-            assert np.allclose(_kernel_matrix(pv, ls, X), _kernel_matrix(pv, ls, X).T, rtol=0, atol=1e-12)
+            K = _kernel(pv, ls, _sq_diffs(X))
+            assert np.allclose(K, K.T, rtol=0, atol=1e-12)
+            assert np.all(K.diagonal() == pv)
+
+    def test_far_from_the_origin_a_lengthscale_apart(self):
+        # |x| / l = 2^27: the expanded |x|^2 + |y|^2 - 2 x.y form loses the
+        # unit squared distance to cancellation; exact differences keep it.
+        pv, ls = 2.5, np.array([0.125, 3.0])
+        X = np.array([[2.0**24, 0.7], [2.0**24 + 0.125, 0.7]])  # l e_1 apart, both exact
+        K = _kernel(pv, ls, _sq_diffs(X))
+        assert K[0, 0] == K[1, 1] == pv
+        assert abs(K[0, 1] - pv * math.exp(-0.5)) <= 1e-15 * pv * math.exp(-0.5)
+        assert K[0, 1] == K[1, 0]
 
 
 def test_kernel_params_validation():
@@ -337,7 +351,8 @@ class TestPosterior:
         params = KernelParams(1.5, [0.3, 0.3])
         em = GpEmulator(ds, params)
         m, v = em.posterior(np.array([50.0, 50.0]))  # far beyond 20 lengthscales
-        C = _kernel_matrix(params.process_variance, params.lengthscales, ds.locations()) + np.diag(ds.variances())
+        K = _kernel(params.process_variance, params.lengthscales, _sq_diffs(ds.locations()))
+        C = K + np.diag(ds.variances())
         mean_term = 1.0 / (np.ones(5) @ np.linalg.solve(C, np.ones(5)))
         assert abs(m - em.beta0) < 1e-6
         assert abs(v - (params.process_variance + mean_term)) < 1e-6
@@ -387,6 +402,23 @@ class TestPosterior:
 # ---------------------------------------------------------------------------
 # Quantile
 # ---------------------------------------------------------------------------
+
+
+_TWO_D = GpDataset([NoisyObservation([0.1, 0.2], 1.0, 0.1),
+                    NoisyObservation([0.7, 0.4], -0.5, 0.1)])
+
+
+@pytest.mark.parametrize("evaluate, width", [
+    (lambda em: em.posterior([0.3]), 1),
+    (lambda em: em.quantile([0.3], 0.7), 1),
+    (lambda em: em.posterior([0.3, 0.4, 0.5]), 3),
+    (lambda em: em.posterior(np.array([[0.1], [0.2]]), axes=[np.array([0.1, 0.2])]), 1),
+])
+def test_posterior_rejects_points_of_another_width(evaluate, width):
+    em = GpEmulator(_TWO_D, KernelParams(1.0, [0.5, 0.5]))
+    message = f"points of {width} coordinates given to an emulator of 2"
+    with pytest.raises(ValueError, match=message):
+        evaluate(em)
 
 
 class TestQuantile:
@@ -445,7 +477,7 @@ class TestFit:
         rng = np.random.default_rng(15)
         true = KernelParams(1.0, [0.3])
         X = rng.uniform(size=(30, 1))
-        K = _kernel_matrix(true.process_variance, true.lengthscales, X) + 1e-8 * np.eye(30)
+        K = _kernel(true.process_variance, true.lengthscales, _sq_diffs(X)) + 1e-8 * np.eye(30)
         y = np.linalg.cholesky(K) @ rng.normal(size=30)
         ds = GpDataset([NoisyObservation(X[j], y[j], 1e-6) for j in range(30)])
         fitted = fit_hyperparameters(*_arrays(ds), rng=0)
@@ -500,6 +532,25 @@ class TestFit:
             fit_hyperparameters(*_arrays(ds), rng=0)
 
 
+_FIT_X = np.array([[0.1], [0.5], [0.9]])
+_FIT_Y, _FIT_NOISE = np.array([1.0, -0.5, 0.2]), np.full(3, 0.1)
+
+
+@pytest.mark.parametrize("X, y, noise, message", [
+    (_FIT_X.ravel(), _FIT_Y, _FIT_NOISE, r"X must be an \(S, v\) array"),
+    (np.r_[_FIT_X[:2], [[np.inf]]], _FIT_Y, _FIT_NOISE, "X must be finite"),
+    (_FIT_X, _FIT_Y[:2], _FIT_NOISE, r"y must have shape \(3,\)"),
+    (_FIT_X, _FIT_Y[:, None], _FIT_NOISE, r"y must have shape \(3,\)"),
+    (_FIT_X, _FIT_Y, np.full(4, 0.1), r"noise must have shape \(3,\)"),
+    (_FIT_X, np.r_[_FIT_Y[:2], np.nan], _FIT_NOISE, "y must be finite"),
+    (_FIT_X, _FIT_Y, np.r_[_FIT_NOISE[:2], np.nan], "noise must be finite"),
+    (_FIT_X, _FIT_Y, np.r_[_FIT_NOISE[:2], -0.1], "noise variances must be non-negative"),
+])
+def test_fit_checks_its_arrays_naming_the_argument(X, y, noise, message):
+    with pytest.raises(ValueError, match=message):
+        fit_hyperparameters(X, y, noise, rng=0)
+
+
 class TestFitFailures:
     """Whatever the data, a fit returns finite parameters or raises GpFitError."""
 
@@ -528,12 +579,13 @@ class TestFitFailures:
             fit_hyperparameters(*_arrays(ds), rng=0)
 
     def test_likelihood_whose_inverse_overflows_is_a_fit_error(self):
-        # two noiseless points 1e-9 apart: C factors, but C^-1 y overflows
+        # two noiseless points 1e-9 apart under unit lengthscales: every
+        # covariance rounds to the tiny process variance, so C factors only
+        # with jitter, and (1'C^-1 y)^2 overflows
         X = np.random.default_rng(48396).uniform(0.0, 1.0, size=(2, 3))
         X[1] = X[0] + 1e-9
         ds = GpDataset([NoisyObservation(x, 1.0, 0.0) for x in X])
-        params = KernelParams(49.305080738533725, [5.477472097082005e-09, 6.62705546797482e-10,
-                                                   1.5468975207820135e-09])
+        params = KernelParams(2.0**-530, [1.0, 1.0, 1.0])
         with pytest.raises(GpFitError, match="C\\^-1 y overflows"):
             log_marginal_likelihood(ds, params)
         self._finite_or_fit_error(ds)
@@ -584,7 +636,7 @@ def test_likelihood_gradient_matches_central_differences(seed, dim, constant_col
     theta = np.log(np.r_[rng.uniform(0.3, 3.0), rng.uniform(0.3, 2.0, size=dim)])
 
     def loglik(t):
-        return _profiled_loglik(X, y, noise, math.exp(t[0]), np.exp(t[1:]), D)
+        return _profiled_loglik(y, noise, math.exp(t[0]), np.exp(t[1:]), D)
 
     value, grad = loglik(theta)
     assert value == log_marginal_likelihood(
@@ -624,7 +676,7 @@ def test_fit_likelihood_no_worse_than_nelder_mead(monkeypatch, overrides):
 def test_factorize_raises_on_indefinite_matrix():
     # K = [[1, e^-1/2], [e^-1/2, 1]]; the noise diagonal -1 leaves eigenvalues +-e^-1/2
     with pytest.raises(GpFitError):
-        _factor_gram(_kernel_matrix(1.0, np.array([1.0]), np.array([[0.0], [1.0]])),
+        _factor_gram(_kernel(1.0, np.array([1.0]), _sq_diffs(np.array([[0.0], [1.0]]))),
                      np.array([-1.0, -1.0]), 1.0)
 
 
@@ -654,7 +706,7 @@ def test_ladder_resets_the_diagonal_between_rungs():
     # about -1e-7, which the rung 1.7e-8 does not lift and the rung 1.7e-7 does.
     X = np.array([[0.0], [100.0], [200.0]])
     noise = np.full(3, -_LADDER_PV - 1e-7)
-    L, jitter = _factor_gram(_kernel_matrix(_LADDER_PV, np.array([1.0]), X), noise, _LADDER_PV)
+    L, jitter = _factor_gram(_kernel(_LADDER_PV, np.array([1.0]), _sq_diffs(X)), noise, _LADDER_PV)
     assert jitter == _RUNGS[1]
     L = np.tril(L)
     expected = np.diag(_LADDER_PV + noise + jitter)

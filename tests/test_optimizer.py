@@ -312,6 +312,14 @@ class TestSelection:
         assert s_mid > 0.1
         assert point[0] == mid[0]
 
+    def test_grid_of_another_width_is_rejected(self):
+        x1, x2 = np.array([0.05]), np.array([0.95])
+        obs1 = [NoisyObservation(x1, 0.0, 0.0), NoisyObservation(x2, 1.0, 0.0)]
+        obs2 = [NoisyObservation(x1, 1.0, 0.0), NoisyObservation(x2, 0.0, 0.0)]
+        state = _manual_state(obs1, obs2, KernelParams(1.0, [0.4]))
+        with pytest.raises(ValueError, match="points of 2 coordinates given to an emulator of 1"):
+            select_next(state, np.array([[0.3, 0.4], [0.5, 0.6]]), AGG)
+
     def test_moeei_matches_moeeqi_on_noise_free_data(self):
         rng = np.random.default_rng(11)
         X = np.linspace(0.05, 0.95, 5)

@@ -23,7 +23,7 @@ from _oracles import (brute_force_front, emulator_projection_reference, factor_g
 from moeeqi.acquisition import QuantilePosterior, merge_replicate
 from moeeqi.cli import _config_echo, load_config
 from moeeqi.gp import (_FAILED_FIT, _JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError,
-                       KernelParams, NoisyObservation, _factor_gram, _kernel_matrix,
+                       KernelParams, NoisyObservation, _factor_gram, _kernel,
                        _profiled_loglik, _sq_diffs, fit_hyperparameters, log_marginal_likelihood,
                        minimize)
 from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics, run
@@ -170,7 +170,7 @@ def _laddered_gram(rng, dim, size, rung):
     X = rng.uniform(-1.0, 2.0, size=(size, dim))
     y = rng.normal(scale=rng.uniform(0.1, 3.0), size=size)
     params = KernelParams(rng.uniform(0.1, 3.0), rng.uniform(0.2, 2.0, size=dim))
-    K = _kernel_matrix(params.process_variance, params.lengthscales, X)
+    K = _kernel(params.process_variance, params.lengthscales, _sq_diffs(X))
     if rung == 0:
         noise = params.process_variance * rng.uniform(0.01, 0.5, size=size)
     else:
@@ -202,7 +202,7 @@ def test_factor_gram_equals_the_cho_factor_reference(seed, dim, size, rung):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 30), _rungs)
 def test_profiled_loglik_equals_the_cho_solve_reference(seed, dim, size, rung):
     X, y, params, _, noise = _laddered_gram(np.random.default_rng(seed), dim, size, rung)
-    args = (X, y, noise, params.process_variance, params.lengthscales, _sq_diffs(X))
+    args = (y, noise, params.process_variance, params.lengthscales, _sq_diffs(X))
     if rung is None:
         for loglik in (_profiled_loglik, profiled_loglik_reference):
             with pytest.raises(GpFitError):
@@ -271,19 +271,30 @@ def _searches_against_scipy(data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 3), st.integers(-8, 8),
        st.booleans(), st.booleans(), st.booleans())
-@example(48396, 2, 3, 0, True, True, True)  # C^-1 y overflows: a bare OverflowError before
+@example(48396, 2, 3, 0, True, True, True)  # noiseless near-duplicates, constant response
 def test_fit_searches_equal_scipy_minimize(seed, size, dim, scale_exp, near_duplicate,
                                            noiseless, constant):
     data = _fit_data(seed, size, dim, scale_exp, near_duplicate, noiseless, constant)
     assert len(_searches_against_scipy(data)) in (5, 8)
 
 
-def test_minimize_identity_covers_a_failed_line_search_and_an_unfactorable_point():
-    # two noisy points 1e-9 apart in three dimensions: a search ends in an
-    # abnormal line search, after which setulb restores the last iterate
-    # (scipy then reports the last trial value, not the one at x), and an
-    # evaluation fails to factor the covariance and reports _FAILED_FIT
-    searches = _searches_against_scipy(_fit_data(1, 2, 3, 5, True, False, False))
+def test_minimize_identity_covers_a_failed_line_search_and_an_unfactorable_point(monkeypatch):
+    # three noiseless points in three dimensions, two of them at one
+    # location: a search ends in an abnormal line search, after which setulb
+    # restores the last iterate (scipy then reports the last trial value,
+    # not the one at x). With non-negative noise every covariance factors
+    # somewhere on the jitter ladder, so factoring is made to fail above a
+    # process variance of 1, where an evaluation reports _FAILED_FIT.
+    X, y, noise = _fit_data(28, 3, 3, 0, False, True, False)
+    X[1] = X[0]
+
+    def failing_above_one(K, noise, process_variance):
+        if process_variance > 1.0:
+            raise GpFitError("forced")
+        return _factor_gram(K, noise, process_variance)
+
+    monkeypatch.setattr("moeeqi.gp._factor_gram", failing_above_one)
+    searches = _searches_against_scipy((X, y, noise))
     assert any(not success for success, _, _ in searches)
     assert any(failed for _, failed, _ in searches)
     assert any(moved for _, _, moved in searches)

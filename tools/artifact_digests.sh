@@ -27,7 +27,8 @@
 # must list the same digests); run on an 80x80 grid
 # (6,400 candidates, more than one row block of the posterior and the
 # score bound); run with 20 initial points, the dense_select benchmark's
-# design size, on a small grid; a 2-replicate study; and
+# design size, on a small grid; a 2-replicate study; a 2-replicate study
+# with study_betas [0.7, 0.9], as the study benchmark runs it; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
 # (wall times) are not listed. Exits 1 without a listing unless some run's
 # observations.csv has a row with replications > 1.
@@ -112,6 +113,10 @@ cat >"$work/study.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 30, "initial_design_size": 5,
  "seed": 3, "truth_resolution": 200}
 JSON
+cat >"$work/study_betas.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 30, "initial_design_size": 5,
+ "seed": 3, "truth_resolution": 200, "study_betas": [0.7, 0.9]}
+JSON
 
 out="$work/out"
 for seed in 1 2 3; do
@@ -138,6 +143,8 @@ cli run --problem "$work/toy.json" --config "$work/grid80.json" --out "$out/run_
 cli run --problem "$work/toy.json" --config "$work/design20.json" --out "$out/run_design20"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
+cli study --problem "$work/toy.json" --config "$work/study_betas.json" --replicates 2 \
+    --out "$out/study_betas"
 cli oracle --problem "$work/toy.json" --resolution 200 --out "$out/oracle/front.csv"
 cli oracle --problem "$work/toy.json" --resolution 500 --out "$out/oracle/front_500.csv"
 
