@@ -57,6 +57,8 @@ def load_config(source) -> tuple[RunConfig, dict]:
 
 
 def _check_study_betas(config: RunConfig, betas) -> None:
+    if not isinstance(betas, list):
+        raise ValueError("expected a list of betas")
     if not betas:
         raise ValueError("expected at least one beta")
     for b in betas:

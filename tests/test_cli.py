@@ -444,6 +444,18 @@ class TestCmdStudy:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("betas", [0.9, "0.9"], ids=["number", "string"])
+    def test_study_betas_that_are_not_a_list_are_named_as_such(self, tmp_path, capsys, betas):
+        # a number is not iterable, and a string would be read character by character
+        rc = main([
+            "study", "--problem", _problem_file(tmp_path),
+            "--config", _config_file(tmp_path, study_betas=betas), "--replicates", "1",
+            "--out", str(tmp_path / "study"),
+        ])
+        assert rc == 2
+        assert (f"invalid value {betas!r} for 'study_betas': expected a list of betas"
+                in capsys.readouterr().err)
+
 
 # ---------------------------------------------------------------------------
 # unusable paths

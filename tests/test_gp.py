@@ -75,9 +75,35 @@ def test_normal_cdf_matches_stdlib_oracle():
         assert abs(float(std_normal_cdf(z)) - _ND.cdf(z)) < 1e-12
 
 
-def test_normal_quantile_matches_stdlib_oracle():
-    for p in np.linspace(0.01, 0.99, 49):
-        assert abs(float(std_normal_quantile(p)) - _ND.inv_cdf(p)) < 1e-12
+def _quantile_probabilities():
+    """Probabilities over (0, 1) and far into both tails."""
+    rng = np.random.default_rng(27)
+    return np.concatenate([rng.uniform(size=20000), 10.0 ** rng.uniform(-300, -1, size=20000),
+                           1.0 - 10.0 ** rng.uniform(-16, -1, size=20000), [1e-300, 1.0 - 1e-16]])
+
+
+def test_normal_quantile_matches_scipy_ndtri():
+    from scipy.special import ndtri  # an oracle only: the package does not import it
+
+    p = _quantile_probabilities()
+    q, expected = std_normal_quantile(p), ndtri(p)
+    assert np.all(np.abs(q - expected) <= 8 * np.spacing(np.abs(expected)))
+    for beta in (0.5, 0.7, 0.75, 0.99):
+        assert std_normal_quantile(beta) == ndtri(beta)
+
+
+def test_normal_quantile_inverts_the_cdf():
+    # the cdf multiplies a relative error in z by at most z**2 < 1500, so a
+    # few ulp in the quantile leave about 1e-12 in p
+    p = _quantile_probabilities()
+    np.testing.assert_allclose(std_normal_cdf(std_normal_quantile(p)), p, rtol=1e-11, atol=0.0)
+
+
+def test_normal_quantile_keeps_the_shape():
+    p = np.array([[0.1, 0.5, 0.7], [0.9, 0.99, 1e-10]])
+    q = std_normal_quantile(p)
+    assert q.shape == (2, 3)
+    assert q.tolist() == [[float(std_normal_quantile(v)) for v in row] for row in p]
 
 
 def test_normal_quantile_rejects_boundary():
@@ -115,11 +141,14 @@ def _fresh_python(code: str) -> str:
                           text=True, check=True).stdout
 
 
-def test_cli_imports_only_the_two_compiled_scipy_modules():
+def test_cli_imports_only_the_three_compiled_scipy_modules():
+    # no package scipy.optimize, scipy.linalg or scipy.special either
     loaded = _fresh_python(
         "import sys, moeeqi.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))))")
-    assert loaded.strip() == "['scipy.linalg._flapack', 'scipy.optimize._lbfgsb']"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    assert loaded.splitlines() == ["['scipy.linalg._flapack', 'scipy.optimize._lbfgsb']",
+                                   "['scipy.special._special_ufuncs']"]
 
 
 _FITS = """
@@ -131,17 +160,22 @@ cold = fit_hyperparameters(X, y, noise, rng=0)
 warm = fit_hyperparameters(X, y + 0.1, noise, rng=1, warm_start=cold)
 for p in (cold, warm):
     print(p.process_variance.hex(), [float(v).hex() for v in p.lengthscales])
+from moeeqi.gp import std_normal_cdf
+print(std_normal_cdf(np.linspace(-40.0, 10.0, 1001)).tobytes().hex())
+"""
+_SCIPY_PACKAGES = "import scipy.optimize, scipy.linalg, scipy.special\n"
+_SAME_OBJECTS = """import sys, scipy.special, moeeqi.gp
+print(moeeqi.gp._flapack is sys.modules['scipy.linalg._flapack'],
+      moeeqi.gp.erfc is scipy.special.erfc)
 """
 
 
 def test_fits_do_not_depend_on_whether_scipy_packages_load_first():
-    moeeqi_first = _fresh_python(_FITS + "import scipy.optimize, scipy.linalg\n")
-    scipy_first = _fresh_python(
-        "import scipy.optimize, scipy.linalg\n" + _FITS
-        + "import sys, moeeqi.gp\n"
-        "print(moeeqi.gp._flapack is sys.modules['scipy.linalg._flapack'])\n")
-    assert len(moeeqi_first.splitlines()) == 2
-    assert scipy_first == moeeqi_first + "True\n"
+    moeeqi_first = _fresh_python(_FITS + _SCIPY_PACKAGES + _SAME_OBJECTS)
+    scipy_first = _fresh_python(_SCIPY_PACKAGES + _FITS + _SAME_OBJECTS)
+    assert len(moeeqi_first.splitlines()) == 4
+    assert moeeqi_first.endswith("True True\n")
+    assert scipy_first == moeeqi_first
 
 
 def test_scipy_extension_reuses_a_loaded_module_and_names_a_missing_one():

@@ -12,8 +12,13 @@ first, so that a drift of the host over the session falls on both sides.
 After a workload's pairs, for every metric both sides report, it prints the
 parent's and the change's median, the parent's interquartile range, the
 median change relative to the parent, and in how many pairs the change's
-value is lower, then one JSON line with every run's values. Exits 1 if any
-run fails or reports an incorrect result. Standard library only.
+value is lower. Each run's ``setup_s`` is the median of a few fresh
+processes, which on a shared host can land in either of two modes; so it
+then prints, per side, the minimum, lower quartile and median of all those
+processes' set-up times pooled over the pairs, read from the result file
+that each run leaves in its tree's ``perfbench/out/``. Last comes one JSON
+line with every run's values and set-up samples. Exits 1 if any run fails
+or reports an incorrect result. Standard library only.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metric values of one ``perfbench/run.py`` run from ``tree``, or
-    None when the run fails or reports an incorrect result."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float):
+    """The metric values and the set-up samples of one ``perfbench/run.py``
+    run from ``tree``, or None when the run fails or reports an incorrect
+    result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -45,7 +51,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode or not last["correct"]:
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         return None
-    return {name: m["value"] for name, m in last["metrics"].items()}
+    result = tree / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    samples = json.loads(result.read_text())["setup_samples_s"]
+    return {name: m["value"] for name, m in last["metrics"].items()}, samples
 
 
 def summarize(parent: list, change: list) -> list:
@@ -66,7 +74,8 @@ def summarize(parent: list, change: list) -> list:
 def compare(trees: dict, workload: str, args) -> int:
     """Run ``args.pairs`` alternating pairs of ``workload`` and print their
     table and JSON line; 1 when a run fails, else 0."""
-    parent, change = [], []
+    runs = {"parent": [], "change": []}
+    setup = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         got = {side: run_bench(trees[side], workload, args.seed, args.seconds)
@@ -74,19 +83,26 @@ def compare(trees: dict, workload: str, args) -> int:
         if None in got.values():
             print(f"{workload} pair {pair}: a run failed", file=sys.stderr)
             return 1
-        parent.append(got["parent"])
-        change.append(got["change"])
+        for side, (values, samples) in got.items():
+            runs[side].append(values)
+            setup[side].append(samples)
         print(f"{workload} pair {pair} ({order[0]} first) done", file=sys.stderr)
 
     print(f"{workload}: {args.rev} (parent) vs working tree (change), {args.pairs} pairs, "
           f"seed {args.seed}, {args.seconds:g} s")
     print(f"  {'metric':32s} {'parent p50':>12s} {'change p50':>12s} {'parent IQR':>12s} "
           f"{'change':>8s} {'lower':>7s}")
-    for name, med_a, med_b, iqr, rel, lower in summarize(parent, change):
+    for name, med_a, med_b, iqr, rel, lower in summarize(runs["parent"], runs["change"]):
         print(f"  {name:32s} {med_a:12.6g} {med_b:12.6g} {iqr:12.6g} {rel:+8.1%} "
               f"{lower:3d}/{args.pairs}")
-    print(json.dumps({"rev": args.rev, "workload": workload, "parent": parent,
-                      "change": change}), flush=True)
+    for side in ("parent", "change"):
+        pooled = [t for samples in setup[side] for t in samples]
+        if len(pooled) > 1:  # as statistics.quantiles needs
+            q1 = statistics.quantiles(pooled, n=4, method="inclusive")[0]
+            print(f"  setup samples, {side:6s}: min {min(pooled):.4g}  q1 {q1:.4g}  "
+                  f"median {statistics.median(pooled):.4g}  (n={len(pooled)})")
+    print(json.dumps({"rev": args.rev, "workload": workload, **runs,
+                      "setup_samples_s": setup}), flush=True)
     return 0
 
 
