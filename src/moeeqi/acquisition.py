@@ -54,26 +54,18 @@ def quantile_posterior_arrays(mean, var, sigma2_new, beta: float):
     ``future_noise`` give them; where both are 0, the shift and the sd are 0.
     An infinite ``var`` gives NaN, without a warning, for the caller to count."""
     var = np.asarray(var, float)
-    with np.errstate(over="ignore"):
-        total = var + sigma2_new
-    safe = np.where(total > 0.0, total, 1.0)
+    # Quartered before the sum, which is then finite; the power-of-two scale is
+    # exact, so the ratios are unchanged wherever the unscaled sum is finite.
+    quarter = 0.25 * var + 0.25 * sigma2_new
+    safe = np.where(quarter > 0.0, quarter, 1.0)
     z = float(std_normal_quantile(beta))
     # sqrt(var) sqrt(sigma2_new / total), not sqrt(sigma2_new var / total): the
     # product of two variances overflows or underflows at objective scales
     # whose quantiles are representable.
-    root = np.sqrt(var)
     with np.errstate(invalid="ignore"):  # inf * 0 and inf / inf
-        shift = z * root * np.sqrt(sigma2_new / safe)
-        sd = var / np.sqrt(safe)
-        over = np.isinf(total)
-        if over.any():
-            # a sum past the float limit (or an infinite var, which stays NaN):
-            # the same sd and shift from halved variances, whose sum is finite
-            half, half_new = 0.5 * var, 0.5 * sigma2_new
-            half_total = half + half_new
-            shift = np.where(over, z * root * np.sqrt(half_new / half_total), shift)
-            sd = np.where(over, root * np.sqrt(half / half_total), sd)
-        return mean + shift, sd
+        shift = z * np.sqrt(var) * np.sqrt(0.25 * sigma2_new / safe)
+        sd = 0.5 * var / np.sqrt(safe)
+    return mean + shift, sd
 
 
 def quantile_posterior(m: float, s2: float, sigma2_new: float, beta: float) -> QuantilePosterior:

@@ -241,8 +241,11 @@ def _select(state: "RunState", front: ParetoFront, grid: np.ndarray, mode: Impro
 def select_next(state: RunState, grid: np.ndarray, mode: ImprovementMode):
     """Grid point maximizing the criterion of the state's comparator (see
     ``_criterion``). Lexicographically first on ties; falls back to the
-    maximum-variance point when every candidate scores zero.
+    maximum-variance point when every candidate scores zero. ``grid`` is a
+    non-empty (n, v) array of candidates, one row per point.
     """
+    if np.ndim(grid) != 2 or not len(grid):
+        raise ValueError(f"grid must be a non-empty (n, v) array, got shape {np.shape(grid)}")
     point, score, _ = _select(state, _design_front(state), grid, mode)
     return point, score
 

@@ -267,16 +267,14 @@ def intervention_cost(p: CostParams) -> float:
     C = ((g X / (nu P) + d S) + a rho / T) * nu P Y
 
     i.e. administration (center setup plus staffed delivery) together with the
-    recurring procurement of the perishable stockpile.
+    recurring procurement of the perishable stockpile. Computed multiplied
+    out, (g X + (d S + a rho / T) nu P) Y, so nu P = 0 needs no division.
     """
-    nu_pop = p.doses_per_person * p.population
-    if nu_pop == 0.0:
-        admin, procurement = intervention_cost_parts(p)
-        return admin + procurement
     return (
-        (p.center_setup_cost * p.centers / nu_pop + p.staff_admin_cost * p.staff)
-        + p.dose_cost * p.wastage / p.shelf_life_years
-    ) * nu_pop * p.horizon_years
+        p.center_setup_cost * p.centers
+        + (p.staff_admin_cost * p.staff + p.dose_cost * p.wastage / p.shelf_life_years)
+        * p.doses_per_person * p.population
+    ) * p.horizon_years
 
 
 def intervention_cost_parts(p: CostParams) -> tuple:
@@ -315,6 +313,7 @@ def _latin_hypercube(s: int, v: int, rng: np.random.Generator) -> np.ndarray:
 
 _DESIGN_RESTARTS = 4  # Latin hypercubes drawn; the best exchanged one is kept
 _DESIGN_MAX_SWEEPS = 20  # exchange sweeps per hypercube, stopping early at no gain
+_EXCHANGE_TERMS = 2**18  # criterion terms (s^2 per swap partner) scored in one batch
 
 
 def initial_design(s: int, bounds, rng) -> np.ndarray:
@@ -336,13 +335,15 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
     # row by row) of the terms in ``inv``; lower is better. A swap of rows
     # i and j in column k changes only their rows and columns of ``inv``.
     # Swaps are tried in (k, i, j) order and the first that lowers the
-    # criterion is kept. A rejected swap leaves the state as it was, so all
-    # partners j of row i are scored in one batch, and after a hit the next
-    # batch starts at j + 1. Each criterion is a row of a C-ordered ``take``:
-    # its sum adds pairwise, as the 1-D sum of a single trial does (a fancy
-    # index ``[:, upper]`` is F-ordered and sums left to right), so the
-    # designs equal those of trying one swap at a time, bit for bit.
+    # criterion is kept. A rejected swap leaves the state as it was, so row
+    # i's partners j are scored in batches of at most ``batch`` (s^2 terms
+    # each), the next starting after the first hit or the last partner. Each
+    # criterion is a row of a C-ordered ``take``: its sum adds pairwise, as the
+    # 1-D sum of a single trial does (a fancy index ``[:, upper]`` is
+    # F-ordered and sums left to right), so the designs equal those of trying
+    # one swap at a time, bit for bit.
     upper = np.flatnonzero(np.triu(np.ones((s, s), dtype=bool), k=1))
+    batch = max(1, _EXCHANGE_TERMS // (s * s))
     best, best_crit = None, np.inf
     for _ in range(_DESIGN_RESTARTS):
         design = _latin_hypercube(s, v, rng)
@@ -354,7 +355,7 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
                 for i in range(s - 1):
                     start = i + 1
                     while start < s:
-                        js = np.arange(start, s)
+                        js = np.arange(start, min(start + batch, s))
                         m = np.arange(len(js))
                         trials = np.repeat(design[None], len(js), axis=0)
                         trials[:, i, k] = design[js, k]
@@ -365,12 +366,12 @@ def initial_design(s: int, bounds, rng) -> np.ndarray:
                         terms[m, js] = terms[m, :, js] = new[:, 1]
                         crits = terms.reshape(len(js), -1).take(upper, axis=1).sum(axis=1)
                         hits = np.flatnonzero(crits < crit)
-                        if not hits.size:
-                            break
-                        h = hits[0]
-                        design, inv, crit = trials[h], terms[h], float(crits[h])
-                        improved = True
-                        start = js[h] + 1
+                        start = js[-1] + 1
+                        if hits.size:
+                            h = hits[0]
+                            design, inv, crit = trials[h], terms[h], float(crits[h])
+                            improved = True
+                            start = js[h] + 1
             if not improved:
                 break
         if crit < best_crit:

@@ -28,7 +28,8 @@ from scipy.optimize import minimize
 from moeeqi.acquisition import quantile_posterior_arrays
 from moeeqi.gp import (_COLD_STARTS, _JITTER_STEPS, _LOG_2PI, _WARM_STARTS, GpFitError,
                        KernelParams, _default_bounds, _factor_gram, _kernel,
-                       _profiled_loglik, _sq_diffs, _unit_box, std_normal_cdf, std_normal_pdf)
+                       _profiled_loglik, _sq_diffs, _unit_box, std_normal_cdf, std_normal_pdf,
+                       std_normal_quantile)
 from moeeqi.optimizer import _criterion
 from moeeqi.pareto import (_ROUNDING, FrontPoint, ImprovementMode, ParetoFront, feasible_mask,
                            moeeqi_scores)
@@ -312,6 +313,28 @@ def posterior_reference(dataset, params, x, control_bounds=None):
     h = 1.0 - k @ Cinv_one
     var = params.process_variance - quad + h * h / one_Cinv_one
     return mean, np.maximum(var, 0.0)
+
+
+def quantile_table_reference(mean, var, sigma2_new, beta):
+    """``moeeqi.acquisition.quantile_posterior_arrays`` in two formulas: the
+    unscaled sum of the variances, and where that sum overflows, the sd and
+    the shift from halved variances."""
+    var = np.asarray(var, float)
+    with np.errstate(over="ignore"):
+        total = var + sigma2_new
+    safe = np.where(total > 0.0, total, 1.0)
+    z = float(std_normal_quantile(beta))
+    root = np.sqrt(var)
+    with np.errstate(invalid="ignore"):
+        shift = z * root * np.sqrt(sigma2_new / safe)
+        sd = var / np.sqrt(safe)
+        over = np.isinf(total)
+        if over.any():
+            half, half_new = 0.5 * var, 0.5 * sigma2_new
+            half_total = half + half_new
+            shift = np.where(over, z * root * np.sqrt(half_new / half_total), shift)
+            sd = np.where(over, root * np.sqrt(half / half_total), sd)
+        return mean + shift, sd
 
 
 def maxpro_criterion(design):

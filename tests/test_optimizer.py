@@ -320,6 +320,18 @@ class TestSelection:
         with pytest.raises(ValueError, match="points of 2 coordinates given to an emulator of 1"):
             select_next(state, np.array([[0.3, 0.4], [0.5, 0.6]]), AGG)
 
+    @pytest.mark.parametrize("grid, shape", [
+        (np.empty((0, 1)), r"\(0, 1\)"),  # no candidate: argmax of an empty sequence
+        (np.array([0.3]), r"\(1,\)"),  # one point as a 1-D array: scalar posteriors
+    ], ids=["empty", "one_dimensional"])
+    def test_grid_that_is_not_a_non_empty_matrix_is_rejected(self, grid, shape):
+        x1, x2 = np.array([0.05]), np.array([0.95])
+        obs1 = [NoisyObservation(x1, 0.0, 0.0), NoisyObservation(x2, 1.0, 0.0)]
+        obs2 = [NoisyObservation(x1, 1.0, 0.0), NoisyObservation(x2, 0.0, 0.0)]
+        state = _manual_state(obs1, obs2, KernelParams(1.0, [0.4]))
+        with pytest.raises(ValueError, match=f"grid .* shape {shape}"):
+            select_next(state, grid, AGG)
+
     def test_moeei_matches_moeeqi_on_noise_free_data(self):
         rng = np.random.default_rng(11)
         X = np.linspace(0.05, 0.95, 5)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,20 @@ class TestInitialDesign:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             initial_design(1, [[0.0, 1.0]], np.random.default_rng(0))
+
+    def test_one_exchange_sweep_at_100_points_holds_small_batches(self, monkeypatch):
+        # All of a row's partners in one batch would hold (s - i - 1) s^2
+        # terms, a traced peak of about 22 MiB here; a capped batch holds
+        # about 2 MiB of terms.
+        monkeypatch.setattr("moeeqi.problems._DESIGN_RESTARTS", 1)
+        monkeypatch.setattr("moeeqi.problems._DESIGN_MAX_SWEEPS", 1)
+        tracemalloc.start()
+        try:
+            initial_design(100, [[0.0, 1.0]] * 2, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestCandidateGrid:

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from _oracles import (brute_force_front, emulator_projection_reference, factor_gram_reference,
                       front_metrics_reference, improvement_terms_reference,
                       initial_design_reference, lbfgsb_reference, moeeqi_scores_reference,
-                      posterior_reference, profiled_loglik_reference, random_front,
-                      score_bounds_reference, select_reference)
-from moeeqi.acquisition import QuantilePosterior, merge_replicate
+                      posterior_reference, profiled_loglik_reference, quantile_table_reference,
+                      random_front, score_bounds_reference, select_reference)
+from moeeqi.acquisition import QuantilePosterior, merge_replicate, quantile_posterior_arrays
 from moeeqi.cli import _config_echo, load_config
 from moeeqi.gp import (_FAILED_FIT, _JITTER_STEPS, _ROW_BLOCK, GpDataset, GpEmulator, GpFitError,
                        KernelParams, NoisyObservation, _factor_gram, _kernel,
                        _profiled_loglik, _sq_diffs, fit_hyperparameters, log_marginal_likelihood,
-                       minimize)
+                       minimize, std_normal_quantile)
 from moeeqi.optimizer import RunConfig, RunState, _design_front, _select, front_metrics, run
 from moeeqi.pareto import (ConstraintSpec, FrontPoint, ImprovementMode, ParetoFront,
                            _improvement_terms, _score_bounds, build_front, moeeqi, moeeqi_scores)
@@ -692,6 +692,16 @@ def test_initial_design_equals_the_reference_at_the_benchmark_size(size, bounds)
     assert np.array_equal(got, initial_design_reference(size, bounds, np.random.default_rng(7)))
 
 
+@pytest.mark.parametrize("terms", [1, 3 * 20 * 20])
+def test_initial_design_in_capped_exchange_batches_equals_the_reference(monkeypatch, terms):
+    # One and three swap partners per batch at 20 points (uncapped below 65):
+    # a batch without a hit hands on to the next batch of the same row.
+    monkeypatch.setattr("moeeqi.problems._EXCHANGE_TERMS", terms)
+    bounds = [[-1.0, 2.0]] * 2
+    got = initial_design(20, bounds, np.random.default_rng(7))
+    assert np.array_equal(got, initial_design_reference(20, bounds, np.random.default_rng(7)))
+
+
 @st.composite
 def _pinned_box(draw):
     """A box of 2-4 axes and pins on a proper subset of them, each value in
@@ -719,6 +729,56 @@ def test_pinned_design_equals_the_free_design_with_its_columns_overwritten(seed,
         want[:, k] = value
     got = initial_design(size, pinned, np.random.default_rng(seed))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()  # bit for bit
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+# zero, the decades from 1e-300, and the top ones, where a sum of two overflows
+_variances = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(1e300, _FLOAT_MAX))
+
+
+def _table_inputs(pairs, scalar_noise):
+    var, noise = np.array(pairs, float).reshape(-1, 2).T
+    return var, (float(noise[0]) if scalar_noise else noise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_variances, _variances), min_size=1, max_size=12), st.booleans(),
+       st.floats(0.5, 0.999))
+@example([(1e308, 1e308), (1.0, 1e308), (0.0, 0.0), (1e-300, 0.0), (0.0, 2.5)], False, 0.7)
+def test_quantile_table_equals_the_two_formula_reference_where_the_sum_is_finite(
+        pairs, scalar_noise, beta):
+    var, noise = _table_inputs(pairs, scalar_noise)
+    mean = np.linspace(-1.0, 1.0, var.size)
+    got = quantile_posterior_arrays(mean, var, noise, beta)
+    want = quantile_table_reference(mean, var, noise, beta)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(var + noise)
+    for g, w in zip(got, want):
+        assert g[finite].tobytes() == w[finite].tobytes()  # bit for bit
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than float64")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e307, _FLOAT_MAX), st.floats(1e307, _FLOAT_MAX)),
+                min_size=1, max_size=12), st.booleans(), st.floats(0.5, 0.999))
+@example([(1e308, 1e308), (_FLOAT_MAX, _FLOAT_MAX), (_FLOAT_MAX, 1e307)], False, 0.7)
+def test_quantile_table_where_the_sum_overflows_is_within_ulps_of_long_double(
+        pairs, scalar_noise, beta):
+    var, noise = _table_inputs(pairs, scalar_noise)
+    shift, sd = quantile_posterior_arrays(0.0, var, noise, beta)
+    v, s = var.astype(np.longdouble), np.asarray(noise, np.longdouble)
+    total = v + s  # finite in the wider exponent range
+    want_sd = v / np.sqrt(total)
+    want_shift = np.longdouble(std_normal_quantile(beta)) * np.sqrt(v) * np.sqrt(s / total)
+    with np.errstate(over="ignore"):
+        over = np.isinf(var + noise)
+
+    def ulps(got, want):
+        return (np.abs(got.astype(np.longdouble) - want) / np.spacing(want.astype(float)))[over]
+
+    assert np.all(ulps(sd, want_sd) <= 2.0)
+    assert np.all(ulps(shift, want_shift) <= 3.0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -27,7 +27,9 @@
 # must list the same digests); run on an 80x80 grid
 # (6,400 candidates, more than one row block of the posterior and the
 # score bound); run with 20 initial points, the dense_select benchmark's
-# design size, on a small grid; a 2-replicate study; a 2-replicate study
+# design size, on a small grid; run with 72 initial points, above the 64 at
+# which the MaxPro exchange first scores a row's swap partners in more than
+# one batch; a 2-replicate study; a 2-replicate study
 # with study_betas [0.7, 0.9], as the study benchmark runs it; and
 # oracle at resolution 200 and at 500, the study default. The JSON files
 # (wall times) are not listed. Exits 1 without a listing unless some run's
@@ -109,6 +111,10 @@ cat >"$work/design20.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 3, "grid_resolution": 20, "initial_design_size": 20,
  "seed": 8}
 JSON
+cat >"$work/design72.json" <<'JSON'
+{"beta": 0.7, "n_mc": 10, "n_iter": 3, "grid_resolution": 20, "initial_design_size": 72,
+ "seed": 9}
+JSON
 cat >"$work/study.json" <<'JSON'
 {"beta": 0.7, "n_mc": 10, "n_iter": 4, "grid_resolution": 30, "initial_design_size": 5,
  "seed": 3, "truth_resolution": 200}
@@ -141,6 +147,7 @@ cli run --problem "$(cat "$work/toy_subbox.json")" --config "$work/plain.json" -
     --out "$out/run_subbox_inline"
 cli run --problem "$work/toy.json" --config "$work/grid80.json" --out "$out/run_grid80"
 cli run --problem "$work/toy.json" --config "$work/design20.json" --out "$out/run_design20"
+cli run --problem "$work/toy.json" --config "$work/design72.json" --out "$out/run_design72"
 cli study --problem "$work/toy.json" --config "$work/study.json" --replicates 2 \
     --out "$out/study"
 cli study --problem "$work/toy.json" --config "$work/study_betas.json" --replicates 2 \
